@@ -361,6 +361,13 @@ def normalize_to_axis(
     )
 
 
+def _parse_point(fields: list[str], where: str, line: str) -> complex:
+    try:
+        return complex(float(fields[0]), float(fields[1]))
+    except ValueError:
+        raise DomainError(f"{where}: expected two numbers, got {line!r}") from None
+
+
 def load_polyline_instance(path) -> tuple[complex, PolylineArc]:
     """Read a pole and polyline from the plain-text exchange format.
 
@@ -369,24 +376,28 @@ def load_polyline_instance(path) -> tuple[complex, PolylineArc]:
     """
     pole: complex | None = None
     vertices: list[complex] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if pole is None:
-                if len(parts) != 3 or parts[0] != "pole":
-                    raise DomainError(
-                        f"{path}:{lineno}: expected header 'pole <re> <im>', got {line!r}"
-                    )
-                pole = complex(float(parts[1]), float(parts[2]))
-            else:
-                if len(parts) != 2:
-                    raise DomainError(
-                        f"{path}:{lineno}: expected a vertex '<re> <im>', got {line!r}"
-                    )
-                vertices.append(complex(float(parts[0]), float(parts[1])))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if pole is None:
+            if len(parts) != 3 or parts[0] != "pole":
+                raise DomainError(
+                    f"{path}:{lineno}: expected header 'pole <re> <im>', got {line!r}"
+                )
+            pole = _parse_point(parts[1:], f"{path}:{lineno}", line)
+        else:
+            if len(parts) != 2:
+                raise DomainError(
+                    f"{path}:{lineno}: expected a vertex '<re> <im>', got {line!r}"
+                )
+            vertices.append(_parse_point(parts, f"{path}:{lineno}", line))
     if pole is None:
         raise DomainError(f"{path}: missing 'pole <re> <im>' header")
     return pole, PolylineArc(tuple(vertices))

@@ -34,7 +34,7 @@ import numpy as np
 
 from .conformal import _check_unit_interval
 from .errors import DomainError, MinimizationError, NumericalConditionWarning
-from .harmonic import arccot, measure_cot_bound
+from .harmonic import _measure_cot, arccot
 
 #: Validity threshold for :func:`angle_bound`.
 ANGLE_BOUND_MIN_P = math.sqrt(2.0) - 1.0
@@ -67,11 +67,30 @@ def lower_bound(p: float) -> float:
     return (1.0 + p) ** 2 * math.pi / (4.0 * p)
 
 
-def _cot_sq(theta: float) -> float:
-    return 1.0 / math.tan(theta) ** 2
+def _scaled_cot_sq(p, q, theta):
+    """``(1+p^2) log(q) / (2p) * cot^2(theta/4)``: the shape of both upper bounds."""
+    return (1.0 + p * p) * np.log(q) / (2.0 * p) * (1.0 / np.tan(theta / 4.0) ** 2)
 
 
-def _warn_if_ill_conditioned(x: float, where: str) -> None:
+def _angle_formula(p, q):
+    """The formula of :func:`angle_bound`, unchecked; ``q`` may be an array."""
+    theta = np.arctan((q - 1.0) / (q + 1.0)) - np.arctan(
+        (1.0 - p * p) * (q - 1.0) / (2.0 * p * (q + 1.0))
+    )
+    return _scaled_cot_sq(p, q, theta)
+
+
+def _measure_formula(p, q):
+    """The formula of :func:`measure_bound`, unchecked; ``q`` may be an array.
+
+    At ``p = 1`` it is :func:`limit_bound` exactly: the second term of the
+    cotangent bound is ``0.0`` and the prefactor ``(1+p^2)/(2p)`` is ``1.0``.
+    """
+    return _scaled_cot_sq(p, q, np.arctan2(1.0, _measure_cot(p, q)))
+
+
+def _warn_if_ill_conditioned(p: float, q: float, where: str) -> None:
+    x = _measure_cot(p, q)
     if x > CONDITION_WARN_THRESHOLD:
         warnings.warn(
             f"{where}: arccot argument {x:.3g} exceeds {CONDITION_WARN_THRESHOLD:.0e}; "
@@ -81,6 +100,15 @@ def _warn_if_ill_conditioned(x: float, where: str) -> None:
         )
 
 
+def _check_angle_p(p: float) -> float:
+    p = _check_unit_interval(p, "p")
+    if p <= ANGLE_BOUND_MIN_P:
+        raise DomainError(
+            f"angle_bound needs p in (sqrt(2)-1, 1) ~ ({ANGLE_BOUND_MIN_P:.6f}, 1), got {p!r}"
+        )
+    return p
+
+
 def angle_bound(p: float, q: float) -> float:
     """Upper bound from the difference of two subtended-angle terms.
 
@@ -88,17 +116,10 @@ def angle_bound(p: float, q: float) -> float:
     ``(1 - p^2) / (2p)`` reaches 1 and the cotangent argument is no longer
     positive.
     """
-    p = _check_unit_interval(p, "p")
-    if p <= ANGLE_BOUND_MIN_P:
-        raise DomainError(
-            f"angle_bound needs p in (sqrt(2)-1, 1) ~ ({ANGLE_BOUND_MIN_P:.6f}, 1), got {p!r}"
-        )
+    p = _check_angle_p(p)
     if not q > 1.0:
         raise DomainError(f"q must exceed 1, got {q!r}")
-    theta = math.atan((q - 1.0) / (q + 1.0)) - math.atan(
-        (1.0 - p * p) * (q - 1.0) / (2.0 * p * (q + 1.0))
-    )
-    return (1.0 + p * p) * math.log(q) / (2.0 * p) * _cot_sq(theta / 4.0)
+    return float(_angle_formula(p, q))
 
 
 def measure_bound(p: float, q: float) -> float:
@@ -106,18 +127,16 @@ def measure_bound(p: float, q: float) -> float:
     p = _check_unit_interval(p, "p")
     if not q > 1.0:
         raise DomainError(f"q must exceed 1, got {q!r}")
-    m = measure_cot_bound(p, q)
-    _warn_if_ill_conditioned(m, "measure_bound")
-    return (1.0 + p * p) * math.log(q) / (2.0 * p) * _cot_sq(arccot(m) / 4.0)
+    _warn_if_ill_conditioned(p, q, "measure_bound")
+    return float(_measure_formula(p, q))
 
 
 def limit_bound(q: float) -> float:
     """The ``p -> 1`` limit of :func:`measure_bound`: the analytic-case bound."""
     if not q > 1.0:
         raise DomainError(f"q must exceed 1, got {q!r}")
-    m = (q + 1.0) / (q - 1.0)
-    _warn_if_ill_conditioned(m, "limit_bound")
-    return math.log(q) * _cot_sq(arccot(m) / 4.0)
+    _warn_if_ill_conditioned(1.0, q, "limit_bound")
+    return float(_measure_formula(1.0, q))
 
 
 def scaled_cot_bound(p: float) -> float:
@@ -163,32 +182,39 @@ _Q_GRID = 1.0 + np.geomspace(1e-6, 1e8, 64 * 14 + 1)
 def minimize_over_q(p: float, kind: str) -> BoundResult:
     """Minimize one of the ``q``-parameterized bounds over ``q`` in (1, inf).
 
-    Scans the fixed geometric grid, requires the minimum to be interior,
-    then refines the bracketing interval by golden-section in ``log(q - 1)``
-    down to relative width 1e-10 in ``q``. The returned value is also
-    certified against every scanned grid value.
+    Evaluates the bound on the whole fixed geometric grid in one array call,
+    requires the grid minimum to be interior, then refines the bracketing
+    interval by golden-section in ``log(q - 1)`` on the scalar bound until
+    the bracket is narrower than 1e-10 relative in ``q``. The returned value
+    is never above the scanned grid minimum and is accurate to roundoff.
+
+    ``q_star`` is only determined to about 1e-7 relative: the minimum is
+    flat, so bounds within roundoff of the minimum span a range of ``q``
+    some ``sqrt(eps)`` wide (an mpmath argmin differs by up to 4e-8 at
+    ``p = 0.999``). The 1e-10 is the width of the search bracket, not the
+    accuracy of ``q_star``.
     """
     if kind == "angle":
-        fn = lambda q: angle_bound(p, q)
+        _check_angle_p(p)
+        formula, fn = _angle_formula, lambda q: angle_bound(p, q)
     elif kind == "measure":
-        fn = lambda q: measure_bound(p, q)
+        _check_unit_interval(p, "p")
+        formula, fn = _measure_formula, lambda q: measure_bound(p, q)
     elif kind == "limit":
         p = 1.0
-        fn = limit_bound
+        formula, fn = _measure_formula, limit_bound
     else:
         raise DomainError(f"kind must be one of {MINIMIZABLE_KINDS}, got {kind!r}")
 
-    with warnings.catch_warnings():
-        # The exploratory scan deliberately sweeps the ill-conditioned q -> 1
-        # corner; the certified minimum is interior, so stay quiet here.
-        warnings.simplefilter("ignore", NumericalConditionWarning)
-        values = [fn(q) for q in _Q_GRID]
-    evaluations = len(values)
-    i = int(np.argmin(values))
-    if i == 0 or i == len(values) - 1:
+    # The scan sweeps the ill-conditioned q -> 1 corner without the scalar
+    # wrapper's warning; the certified minimum is interior.
+    grid = _Q_GRID
+    evaluations = len(grid)
+    i = int(np.argmin(formula(p, grid)))
+    if i == 0 or i == evaluations - 1:
         raise MinimizationError(f"grid minimum sits at the bracket edge (kind={kind!r}, p={p!r})")
-    grid_min = values[i]
-    lo, hi = float(_Q_GRID[i - 1]), float(_Q_GRID[i + 1])
+    grid_min = fn(float(grid[i]))
+    lo, hi = float(grid[i - 1]), float(grid[i + 1])
 
     a, b = math.log(lo - 1.0), math.log(hi - 1.0)
     g = lambda t: fn(1.0 + math.exp(t))
@@ -214,7 +240,7 @@ def minimize_over_q(p: float, kind: str) -> BoundResult:
     value = fn(q_star)
     if value > grid_min:
         # Refinement failed to beat the scan (non-unimodal wiggle): keep the grid point.
-        q_star, value = float(_Q_GRID[i]), grid_min
+        q_star, value = float(grid[i]), grid_min
     return BoundResult(
         p=p,
         kind=kind,

@@ -28,6 +28,7 @@ from . import arcs, bounds, harmonic, lengths
 from .errors import PoleBoundsError
 
 FORMAT_ENV_VAR = "POLEBOUNDS_FORMAT"
+FORMATS = ("text", "json", "csv")
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
@@ -241,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_format(p):
         p.add_argument(
             "--format",
-            choices=("text", "json", "csv"),
+            choices=FORMATS,
             default=os.environ.get(FORMAT_ENV_VAR, "text"),
             help=f"output format (default from ${FORMAT_ENV_VAR}, else text)",
         )
@@ -302,18 +303,20 @@ def main(argv=None, out=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
+    if args.format not in FORMATS:
+        # argparse checks an explicit --format, not the default from the environment.
+        print(f"error: ${FORMAT_ENV_VAR} must be one of {FORMATS}, got {args.format!r}",
+              file=sys.stderr)
+        return EXIT_USAGE
     cfg = RunConfig(
-        fmt=getattr(args, "format", "text"),
+        fmt=args.format,
         seed=getattr(args, "seed", harmonic.DEFAULT_SEED),
         tol=getattr(args, "tol", lengths.DEFAULT_LENGTH_TOL),
         a1_value=getattr(args, "a1_value", arcs.DEFAULT_ANALYTIC_CONSTANT),
     )
     try:
         return args.func(args, cfg, out)
-    except PoleBoundsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except (PoleBoundsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -74,7 +74,11 @@ def hm_halfplane(z: ComplexLike, a: float, b: float) -> float:
     # Both z-a and z-b lie in H, so the phase difference is already in (0, pi).
     w = (phase(zz - b) - phase(zz - a)) / math.pi
     if not 0.0 < w < 1.0:
-        raise ArithmeticError(f"subtended angle left (0, pi): w={w!r}")
+        # e.g. z = 1e-300j or z = 1e300j: the angle rounds to 0 or pi.
+        raise DomainError(
+            f"subtended angle rounds to 0 or pi (w={w!r}): "
+            "z is too close to the real axis or too far from the segment"
+        )
     return w
 
 
@@ -94,6 +98,15 @@ def hm_omega1(z: ComplexLike, a: float, b: float, p: float) -> float:
     return hm_halfplane(omega1_to_halfplane(zz, p).value, pa, pb)
 
 
+def _measure_cot(p, q):
+    """The formula of :func:`measure_cot_bound`, unchecked; ``q`` may be an array."""
+    first = (q + 1.0) / (q - 1.0)
+    second = (1.0 - p * p) ** 2 * (1.0 + q * q) / (
+        2.0 * p * (q - 1.0) * (4.0 * p * np.sqrt(q) + (1.0 + q) * (1.0 + p * p))
+    )
+    return first + second
+
+
 def measure_cot_bound(p: float, q: float) -> float:
     """Closed-form bound for ``cot(pi * omega)`` on the vertical segment.
 
@@ -106,11 +119,7 @@ def measure_cot_bound(p: float, q: float) -> float:
     p = _check_unit_interval(p, "p")
     if not q > 1.0:
         raise DomainError(f"q must exceed 1, got {q!r}")
-    first = (q + 1.0) / (q - 1.0)
-    second = (1.0 - p * p) ** 2 * (1.0 + q * q) / (
-        2.0 * p * (q - 1.0) * (4.0 * p * math.sqrt(q) + (1.0 + q) * (1.0 + p * p))
-    )
-    return first + second
+    return float(_measure_cot(p, q))
 
 
 @dataclass(frozen=True)

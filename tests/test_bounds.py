@@ -1,7 +1,9 @@
 """Bound functions, their minimization over q, and the comparison table."""
 
 import math
+import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -21,7 +23,7 @@ from polebounds import (
     scaled_cot_bound,
     table_rows,
 )
-from polebounds.bounds import round_half_up
+from polebounds.bounds import _Q_GRID, _angle_formula, _measure_formula, round_half_up
 
 RNG = np.random.default_rng(123)
 
@@ -178,6 +180,51 @@ def test_minimize_perturbed_grid_invariance():
                 lo = m1
         alt = fn(p, 0.5 * (lo + hi))
         assert abs(alt - ref) <= 1e-8 * ref
+
+
+#: kind -> (array formula, scalar wrapper); the limit bound is the measure formula at p = 1.
+_FORMULAS = {
+    "measure": (_measure_formula, measure_bound),
+    "angle": (_angle_formula, angle_bound),
+    "limit": (_measure_formula, lambda p, q: limit_bound(q)),
+}
+
+
+@pytest.mark.parametrize(
+    "kind,p",
+    [("measure", p) for p in (1e-3, 0.1, 0.4, 0.42, 0.7, 0.999)]
+    + [("angle", p) for p in (ANGLE_BOUND_MIN_P + 1e-3, 0.5, 0.8, 0.999)]
+    + [("limit", 1.0)],
+)
+def test_array_formula_matches_scalar_wrapper_on_grid(kind, p):
+    formula, scalar = _FORMULAS[kind]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NumericalConditionWarning)
+        ref = np.array([scalar(p, float(q)) for q in _Q_GRID])
+    values = formula(p, _Q_GRID)
+    np.testing.assert_allclose(values, ref, rtol=1e-12, atol=0.0)
+    assert np.argmin(values) == np.argmin(ref)
+
+
+def _mp_measure_bound(p, q):
+    m = (q + 1) / (q - 1) + (1 - p * p) ** 2 * (1 + q * q) / (
+        2 * p * (q - 1) * (4 * p * mp.sqrt(q) + (1 + q) * (1 + p * p))
+    )
+    return (1 + p * p) * mp.log(q) / (2 * p) * mp.cot(mp.acot(m) / 4) ** 2
+
+
+@pytest.mark.parametrize("p", [0.999, 0.5, 0.1, 0.01, 1e-4])
+def test_measure_minimum_matches_mpmath(p):
+    # mpmath at 40 digits: coarse scan in q - 1, then the root of the derivative
+    with mp.workdps(40):
+        f = lambda q: _mp_measure_bound(mp.mpf(p), q)
+        start = min((1 + mp.mpf(10) ** (mp.mpf(k) / 8) for k in range(-48, 65)), key=f)
+        q_min = mp.findroot(lambda q: mp.diff(f, q), start)
+        expect = f(q_min)
+    res = minimize_over_q(p, "measure")
+    assert abs(res.value / expect - 1) <= 1e-13
+    # q_star is only determined to about 1e-7 relative: the minimum is flat
+    assert res.q_star == pytest.approx(float(q_min), rel=1e-6)
 
 
 def test_minimize_rejects_unknown_kind():

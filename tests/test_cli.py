@@ -197,3 +197,43 @@ def test_format_env_var_default(monkeypatch):
     code, text = run(["bounds", "--p", "0.5", "--kind", "lb"])
     assert code == 0
     json.loads(text)  # parses: the env default applied
+
+
+def test_format_env_var_rejects_unknown_value(monkeypatch, capsys):
+    monkeypatch.setenv("POLEBOUNDS_FORMAT", "xml")
+    code, text = run(["bounds", "--p", "0.5", "--kind", "lb"])
+    assert code == 2 and text == ""
+    assert capsys.readouterr().err.startswith("error: $POLEBOUNDS_FORMAT")
+
+
+# ------------------------------------------------- bad input: exit 2, no traceback
+
+
+def _assert_usage_error(argv, capsys):
+    code, _ = run(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+    return err
+
+
+def test_arc_non_numeric_header_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_text("pole a b\n0.0 -0.5\n-0.45 0.0\n0.0 0.5\n")
+    err = _assert_usage_error(["arc", "--family", "mobius", "--file", str(path)], capsys)
+    assert f"{path}:1:" in err
+
+
+def test_arc_directory_exits_2(tmp_path, capsys):
+    _assert_usage_error(["arc", "--family", "mobius", "--file", str(tmp_path)], capsys)
+
+
+def test_arc_binary_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.bin"
+    path.write_bytes(b"pole 0.2 0.0\n\xd0\xff\n")
+    _assert_usage_error(["arc", "--family", "mobius", "--file", str(path)], capsys)
+
+
+def test_harmonic_unresolvable_angle_exits_2(capsys):
+    _assert_usage_error(["harmonic", "--z", "0,1e-300", "--a", "1", "--b", "4", "--p", "0.5"],
+                        capsys)
