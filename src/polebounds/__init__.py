@@ -63,6 +63,7 @@ from .errors import (
     QuadratureError,
     SphereArithmeticError,
     UnsupportedDomainError,
+    WalkCapError,
 )
 from .harmonic import (
     DEFAULT_SEED,

@@ -42,6 +42,7 @@ from .hyperbolic import hyp_dist_to_vertical_segment
 from .lengths import (
     DEFAULT_LENGTH_TOL,
     TestFunction,
+    _conservative_verdict,
     image_curve_length,
     polyline_image_length,
     segment_curve,
@@ -284,14 +285,15 @@ def verify_arc_inequality(
     """Check ``len(f(gamma)) <= constant * len(f(J))`` for the pole of ``f``.
 
     ``gamma`` is the vertical segment joining the arc endpoints (their
-    hyperbolic geodesic once both lie on the vertical diameter).
+    hyperbolic geodesic once both lie on the vertical diameter). The check
+    passes only if it holds for the worst lengths within their quadrature
+    errors; ``ratio`` is the plain quotient of the two lengths.
     """
     sel = arc_constant(complex(f.pole), arc, analytic_constant)
     z1, z2 = arc.endpoints
     geod = segment_curve(complex(0.0, z1.imag), complex(0.0, z2.imag), label="geodesic")
     lg, eg = image_curve_length(f, geod, tol)
     la, ea = polyline_image_length(f, arc.vertices, tol)
-    ratio = lg / la
     return ArcReport(
         function_id=f.id,
         branch=sel.branch,
@@ -299,8 +301,8 @@ def verify_arc_inequality(
         tau=sel.tau,
         length_geodesic=lg,
         length_arc=la,
-        ratio=ratio,
-        passed=ratio <= sel.constant,
+        ratio=lg / la,
+        passed=_conservative_verdict(lg, eg, la, ea, sel.constant),
         error_geodesic=eg,
         error_arc=ea,
     )

@@ -86,10 +86,18 @@ def _measure_formula(p, q):
     At ``p = 1`` it is :func:`limit_bound` exactly: the second term of the
     cotangent bound is ``0.0`` and the prefactor ``(1+p^2)/(2p)`` is ``1.0``.
     """
-    return _scaled_cot_sq(p, q, np.arctan2(1.0, _measure_cot(p, q)))
+    return _measure_from_cot(p, q, _measure_cot(p, q))
 
 
-def _warn_if_ill_conditioned(p: float, q: float, where: str) -> None:
+def _measure_from_cot(p, q, cot):
+    """The measure bound from its cotangent bound ``cot = _measure_cot(p, q)``."""
+    return _scaled_cot_sq(p, q, np.arctan2(1.0, cot))
+
+
+def _checked_measure(p: float, q: float, where: str) -> float:
+    """The measure bound at a checked ``p``, warning when ``cot^2`` is ill-conditioned."""
+    if not q > 1.0:
+        raise DomainError(f"q must exceed 1, got {q!r}")
     x = _measure_cot(p, q)
     if x > CONDITION_WARN_THRESHOLD:
         warnings.warn(
@@ -98,6 +106,7 @@ def _warn_if_ill_conditioned(p: float, q: float, where: str) -> None:
             NumericalConditionWarning,
             stacklevel=3,
         )
+    return float(_measure_from_cot(p, q, x))
 
 
 def _check_angle_p(p: float) -> float:
@@ -124,19 +133,12 @@ def angle_bound(p: float, q: float) -> float:
 
 def measure_bound(p: float, q: float) -> float:
     """Upper bound routed through the harmonic-measure cotangent estimate."""
-    p = _check_unit_interval(p, "p")
-    if not q > 1.0:
-        raise DomainError(f"q must exceed 1, got {q!r}")
-    _warn_if_ill_conditioned(p, q, "measure_bound")
-    return float(_measure_formula(p, q))
+    return _checked_measure(_check_unit_interval(p, "p"), q, "measure_bound")
 
 
 def limit_bound(q: float) -> float:
     """The ``p -> 1`` limit of :func:`measure_bound`: the analytic-case bound."""
-    if not q > 1.0:
-        raise DomainError(f"q must exceed 1, got {q!r}")
-    _warn_if_ill_conditioned(1.0, q, "limit_bound")
-    return float(_measure_formula(1.0, q))
+    return _checked_measure(1.0, q, "limit_bound")
 
 
 def scaled_cot_bound(p: float) -> float:

@@ -30,7 +30,11 @@ class PoleProximityError(PoleBoundsError):
 
 
 class QuadratureError(PoleBoundsError):
-    """Adaptive quadrature failed to converge within the depth limit."""
+    """Adaptive quadrature could not bring its error estimate within the tolerance."""
+
+
+class WalkCapError(PoleBoundsError, ArithmeticError):
+    """Every walk-on-spheres walk hit the step cap, leaving no estimate."""
 
 
 class MinimizationError(PoleBoundsError):

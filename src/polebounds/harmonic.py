@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conformal import ComplexLike, as_complex, omega1_to_halfplane, _check_unit_interval
-from .errors import DomainError, UnsupportedDomainError
+from .errors import DomainError, UnsupportedDomainError, WalkCapError
 from .hyperbolic import ExcludedDisk, in_omega1
 
 #: Default seed for every stochastic routine; fixed so runs are reproducible.
@@ -211,7 +211,7 @@ def wos_harmonic_measure(
 
     n_used = n_walks - capped
     if n_used == 0:
-        raise ArithmeticError("all walks hit the step cap")
+        raise WalkCapError("all walks hit the step cap")
     mean = float(hit.sum()) / n_used
     stderr = math.sqrt(mean * (1.0 - mean) / n_used)
     return WosEstimate(mean=mean, stderr=stderr, n_walks=n_walks, n_used=n_used, n_capped=capped)

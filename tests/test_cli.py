@@ -237,3 +237,12 @@ def test_arc_binary_file_exits_2(tmp_path, capsys):
 def test_harmonic_unresolvable_angle_exits_2(capsys):
     _assert_usage_error(["harmonic", "--z", "0,1e-300", "--a", "1", "--b", "4", "--p", "0.5"],
                         capsys)
+
+
+def test_harmonic_all_walks_capped_exits_2(monkeypatch, capsys):
+    from polebounds import harmonic
+
+    monkeypatch.setattr(harmonic, "WOS_STEP_CAP", 1)
+    _assert_usage_error(
+        ["harmonic", "--z", "0,2", "--a", "1", "--b", "4", "--p", "0.5", "--wos", "10"], capsys
+    )

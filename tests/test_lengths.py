@@ -8,6 +8,7 @@ import pytest
 from polebounds import (
     DomainError,
     PoleProximityError,
+    QuadratureError,
     TestFunction,
     image_curve_length,
     koebe_family,
@@ -19,6 +20,8 @@ from polebounds import (
     verify_inequality,
     vertical_diameter,
 )
+from polebounds import lengths
+from polebounds.lengths import _G7, _K15, _NODES, _conservative_verdict
 
 RNG = np.random.default_rng(99)
 
@@ -122,6 +125,86 @@ def test_polyline_length_sums_segments():
     assert err < 1e-9
 
 
+def test_constant_speed_polyline_is_one_array_call():
+    # every segment starts as one panel, all evaluated together; a constant
+    # integrand is resolved by the first round
+    shapes = []
+
+    def derivative(z):
+        shapes.append(np.shape(z))
+        return 1.0
+
+    ident = TestFunction(id="identity", evaluate=lambda z: z, derivative=derivative, pole=5 + 5j)
+    verts = tuple(complex(z) for z in 0.9 * rand_disk(11))
+    total, err = polyline_image_length(ident, verts)
+    assert shapes == [(10, 15)]
+    assert total == pytest.approx(sum(abs(b - a) for a, b in zip(verts, verts[1:])), rel=1e-14)
+    assert err <= 1e-9
+
+
+def test_polyline_rejects_repeated_vertex():
+    with pytest.raises(DomainError):
+        polyline_image_length(IDENTITY, (0.1j, 0.2 + 0.1j, 0.2 + 0.1j, 0.5j))
+
+
+# ------------------------------------------------------ Gauss-Kronrod G7-K15
+
+
+def _monomial_errors(weights):
+    return [
+        abs(weights @ _NODES**k - (2.0 / (k + 1) if k % 2 == 0 else 0.0)) for k in range(25)
+    ]
+
+
+def test_kronrod_rule_has_degree_22_and_gauss_rule_degree_13():
+    k15, g7 = _monomial_errors(_K15), _monomial_errors(_G7)
+    assert max(k15[:23]) <= 4 * 2.0**-52 and k15[24] > 1e-9
+    assert max(g7[:14]) <= 4 * 2.0**-52 and g7[14] > 1e-5
+    assert np.count_nonzero(_G7) == 7
+
+
+def exact_lengths(f, p):
+    """Closed-form lengths of ``f(I1)`` and ``f(T-)`` for the built-in families."""
+    if f.id == "koebe":
+        return math.pi * p / (1 + p * p), 2 * p / (1 + p * p) - 2 * p / (1 + p) ** 2
+    ev = f.evaluate
+    return (
+        arc_length_through(ev(-1j), ev(0.0), ev(1j)),
+        arc_length_through(ev(1j), ev(-1.0), ev(-1j)),
+    )
+
+
+def test_error_estimate_covers_true_error_and_meets_tol():
+    curves = (vertical_diameter(), left_half_circle())
+    for p in np.geomspace(0.02, 0.99, 40):
+        p = float(p)
+        for f in (mobius_family(p), koebe_family(p)):
+            exact = exact_lengths(f, p)
+            for tol in (1e-9, 1e-11, 1e-12):
+                for curve, length in zip(curves, exact):
+                    value, err = image_curve_length(f, curve, tol)
+                    assert abs(value - length) <= err <= tol, (f.id, p, tol, curve.label)
+
+
+def test_tol_below_roundoff_raises():
+    # len f(I1) ~ 155: its roundoff floor alone exceeds 1e-14
+    with pytest.raises(QuadratureError):
+        image_curve_length(mobius_family(0.02), vertical_diameter(), tol=1e-14)
+
+
+def test_panel_cap_raises(monkeypatch):
+    monkeypatch.setattr(lengths, "MAX_QUAD_PANELS", 8)
+    with pytest.raises(QuadratureError):
+        image_curve_length(mobius_family(0.02), vertical_diameter())
+
+
+def test_conservative_verdict_accounts_for_errors():
+    assert _conservative_verdict(1.0, 0.0, 1.0, 0.0, 1.0)
+    assert not _conservative_verdict(1.0, 0.1, 1.0, 0.0, 1.05)
+    assert not _conservative_verdict(1.0, 0.0, 1.0, 0.1, 1.05)
+    assert not _conservative_verdict(1.0, 0.0, 1.0, 1.0, 1e300)
+
+
 # -------------------------------------------------------------------- families
 
 
@@ -191,6 +274,7 @@ def test_verify_inequality_mobius():
     rep = verify_inequality(mobius_family(0.5), 0.5)
     assert rep.passed
     assert rep.ratio == rep.length_i1 / rep.length_tminus
+    assert (rep.length_i1 + rep.error_i1) / (rep.length_tminus - rep.error_tminus) <= rep.bound.value
     assert rep.bound.kind == "measure"
 
 
