@@ -31,6 +31,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .bounds import minimize_over_q
 from .conformal import MoebiusMap, as_complex
 from .errors import (
@@ -43,6 +45,7 @@ from .lengths import (
     DEFAULT_LENGTH_TOL,
     TestFunction,
     _conservative_verdict,
+    _segment_distance,
     image_curve_length,
     polyline_image_length,
     segment_curve,
@@ -56,32 +59,72 @@ GEOMETRY_TOL = 1e-12
 
 _ON_CURVE_TOL = 1e-10
 
+#: Upper bound on the segment pairs the simplicity test holds in memory at once.
+_PAIR_BLOCK = 1 << 16
+
 
 def _orient(a: complex, b: complex, c: complex) -> float:
     return (b.real - a.real) * (c.imag - a.imag) - (b.imag - a.imag) * (c.real - a.real)
 
 
-def _segments_cross(a: complex, b: complex, c: complex, d: complex) -> bool:
-    d1 = _orient(c, d, a)
-    d2 = _orient(c, d, b)
-    d3 = _orient(a, b, c)
-    d4 = _orient(a, b, d)
-    if ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)):
-        return True
+def _within(p, q, r):
+    """Whether ``r`` lies in the closed bounding box of ``p`` and ``q`` (arrays)."""
+    return (
+        (np.minimum(p.real, q.real) <= r.real)
+        & (r.real <= np.maximum(p.real, q.real))
+        & (np.minimum(p.imag, q.imag) <= r.imag)
+        & (r.imag <= np.maximum(p.imag, q.imag))
+    )
 
-    def on(a, b, c):
-        return (
-            _orient(a, b, c) == 0.0
-            and min(a.real, b.real) <= c.real <= max(a.real, b.real)
-            and min(a.imag, b.imag) <= c.imag <= max(a.imag, b.imag)
-        )
 
-    return on(c, d, a) or on(c, d, b) or on(a, b, c) or on(a, b, d)
+def _segments_meet(a, b, c, d) -> np.ndarray:
+    """Whether the closed segments ``ab`` and ``cd`` meet, elementwise over arrays.
+
+    They meet when each straddles the other's line (strict ``> 0`` sign test)
+    or when an endpoint of one lies on the other: an exact-zero orientation
+    inside the closed bounding box, tested only where such a zero occurs.
+    """
+    d1, d2 = _orient(c, d, a), _orient(c, d, b)
+    d3, d4 = _orient(a, b, c), _orient(a, b, d)
+    meet = ((d1 > 0) != (d2 > 0)) & ((d3 > 0) != (d4 > 0))
+    for o, p, q, r in ((d1, c, d, a), (d2, c, d, b), (d3, a, b, c), (d4, a, b, d)):
+        on_line = o == 0.0
+        if on_line.any():
+            meet |= on_line & _within(p, q, r)
+    return meet
+
+
+def _has_crossing(verts: tuple[complex, ...]) -> bool:
+    """Whether two non-adjacent segments ``i`` and ``j >= i + 2`` meet.
+
+    When the first vertex equals the last, the first and last segments may
+    share it. The pairs are tested as arrays, in blocks of rows that keep
+    memory bounded on long polylines.
+    """
+    z = np.array(verts, dtype=complex)
+    n = len(z) - 1
+    j = np.arange(n)
+    rows = max(1, _PAIR_BLOCK // n)
+    for lo in range(0, n, rows):
+        pair = j >= np.arange(lo, min(lo + rows, n))[:, None] + 2
+        if lo == 0 and verts[0] == verts[-1]:
+            pair[0, n - 1] = False
+        i, k = np.nonzero(pair)
+        i += lo
+        if _segments_meet(z[i], z[i + 1], z[k], z[k + 1]).any():
+            return True
+    return False
 
 
 @dataclass(frozen=True)
 class PolylineArc:
-    """A simple polyline inside the open unit disk."""
+    """A simple polyline inside the open unit disk.
+
+    Construction rejects a vertex on or outside the unit circle, a repeated
+    consecutive vertex, and any two non-adjacent segments that meet, touching
+    included (only a closed loop's first and last segments may share their
+    common vertex). The segment pairs are tested together, as numpy arrays.
+    """
 
     vertices: tuple[complex, ...]
 
@@ -96,13 +139,8 @@ class PolylineArc:
         for u, v in zip(verts, verts[1:]):
             if u == v:
                 raise DomainError("consecutive vertices must be distinct")
-        n = len(verts) - 1
-        for i in range(n):
-            for j in range(i + 2, n):
-                if i == 0 and j == n - 1 and verts[0] == verts[n]:
-                    continue
-                if _segments_cross(verts[i], verts[i + 1], verts[j], verts[j + 1]):
-                    raise DomainError("polyline is not simple: segments cross")
+        if _has_crossing(verts):
+            raise DomainError("polyline is not simple: segments cross")
 
     @property
     def endpoints(self) -> tuple[complex, complex]:
@@ -113,13 +151,7 @@ class PolylineArc:
         return PolylineArc(tuple(-v.conjugate() for v in self.vertices))
 
     def distance_to(self, w: complex) -> float:
-        best = math.inf
-        for u, v in zip(self.vertices, self.vertices[1:]):
-            d = v - u
-            denom = abs(d) ** 2
-            t = max(0.0, min(1.0, ((w - u) * d.conjugate()).real / denom))
-            best = min(best, abs(w - (u + t * d)))
-        return best
+        return min(_segment_distance(u, v, w) for u, v in zip(self.vertices, self.vertices[1:]))
 
     def length(self) -> float:
         return sum(abs(v - u) for u, v in zip(self.vertices, self.vertices[1:]))
@@ -127,11 +159,6 @@ class PolylineArc:
 
 def _is_on_axis(arc: PolylineArc, tol: float = GEOMETRY_TOL) -> bool:
     return all(abs(v.real) <= tol for v in arc.vertices)
-
-
-def _vertical_segment_distance(w: complex, y_lo: float, y_hi: float) -> float:
-    dy = 0.0 if y_lo <= w.imag <= y_hi else min(abs(w.imag - y_lo), abs(w.imag - y_hi))
-    return math.hypot(w.real, dy)
 
 
 def enclosed_axis_segment(arc: PolylineArc, tol: float = GEOMETRY_TOL) -> tuple[float, float]:
@@ -235,7 +262,7 @@ def arc_constant(
 
     if arc.distance_to(ss) <= _ON_CURVE_TOL:
         raise HypothesisViolationError("pole lies on the arc")
-    if _vertical_segment_distance(ss, y_lo, y_hi) <= _ON_CURVE_TOL:
+    if _segment_distance(1j * y_lo, 1j * y_hi, ss) <= _ON_CURVE_TOL:
         raise HypothesisViolationError("pole lies on the enclosed axis segment")
     if not _is_on_axis(arc):
         # Implicit closure of the loop is the axis chord joining the endpoints;
@@ -327,8 +354,9 @@ def normalize_to_axis(
     The hyperbolic midpoint of the endpoints goes to the origin and the pair
     is rotated onto the imaginary axis, ``z2`` to the upper point. Hyperbolic
     distances are unchanged (automorphisms are isometries). Polyline vertices
-    are mapped individually and rejoined by straight segments; endpoints that
-    already lie on the axis are returned through the identity.
+    are mapped individually and rejoined by straight segments, and the moved
+    arc is validated again; endpoints that already lie on the axis are
+    returned through the identity, with the given ``arc`` object itself.
     """
     z1, z2 = complex(z1), complex(z2)
     if z1 == z2:
@@ -339,6 +367,7 @@ def normalize_to_axis(
 
     if z1.real == 0.0 and z2.real == 0.0:
         transform = MoebiusMap.identity()
+        new_arc = arc
     else:
         # Send z1 to 0, find the hyperbolic midpoint of the image pair, recenter.
         to_zero = MoebiusMap(1, -z1, -z1.conjugate(), 1)
@@ -350,10 +379,10 @@ def normalize_to_axis(
         angle = math.pi / 2.0 - math.atan2(u2.imag, u2.real)
         rot = MoebiusMap(complex(math.cos(angle), math.sin(angle)), 0, 0, 1)
         transform = rot.compose(recenter.compose(to_zero))
-
-    new_arc = None
-    if arc is not None:
-        new_arc = PolylineArc(tuple(transform(v).value for v in arc.vertices))
+        new_arc = None
+        if arc is not None:
+            # straight segments between mapped vertices can cross: validate again
+            new_arc = PolylineArc(tuple(transform(v).value for v in arc.vertices))
     return NormalizedInstance(
         s=transform(s).value,
         z1=transform(z1).value,

@@ -203,17 +203,20 @@ def disk_nesting(p1: float, p2: float) -> bool:
     return d1.center - d2.center + d2.radius <= d1.radius + 1e-12
 
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
 def hyp_dist_to_vertical_segment(s: ComplexLike, y1: float, y2: float) -> float:
     """Hyperbolic distance from ``s`` to the segment ``[i y1, i y2]`` of the
     closed vertical diameter.
 
-    The distance along the diameter is unimodal, so a 64-point bracket scan
-    followed by golden-section refinement (interval tolerance 1e-12) finds
-    the minimum; the brute-force grid oracle in the test-suite validates the
-    unimodality assumption.
+    The geodesic through ``s`` orthogonal to the diameter is orthogonal to both
+    the unit circle and the imaginary axis, so its circle has its centre ``i c``
+    on the axis, with ``c = (1 + |s|^2) / (2 Im s)``. It meets the axis at the
+    foot ``i y*``, ``y* = c - sign(c) sqrt(c^2 - 1)``, the nearest point of the
+    whole diameter; the distance grows monotonically away from the foot in each
+    direction, so the nearest point of the segment is the foot clamped to it.
+    Because ``(1 + |s|^2)^2 - 4 (Im s)^2 = |s - i|^2 |s + i|^2``, the foot is
+    computed as ``y* = 2 Im s / (1 + |s|^2 + |s - i| |s + i|)``, which neither
+    overflows nor cancels, and is ``0`` when ``Im s = 0``. The ideal endpoints
+    ``+-i`` are at infinite distance, so the clamp stays ``1e-12`` inside them.
     """
     ss = as_complex(s)
     if abs(ss) >= 1.0:
@@ -223,30 +226,6 @@ def hyp_dist_to_vertical_segment(s: ComplexLike, y1: float, y2: float) -> float:
     if ss.real == 0.0 and y1 <= ss.imag <= y2:
         return 0.0
 
-    # The ideal endpoints +-i are at infinite distance; the minimum is interior.
-    lo = max(y1, -1.0 + 1e-12)
-    hi = min(y2, 1.0 - 1e-12)
-
-    def dist(y: float) -> float:
-        return hyp_dist_disk(ss, complex(0.0, y))
-
-    n = 64
-    ys = [lo + (hi - lo) * k / n for k in range(n + 1)]
-    vals = [dist(y) for y in ys]
-    i = vals.index(min(vals))
-    a = ys[max(i - 1, 0)]
-    b = ys[min(i + 1, n)]
-
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = dist(c), dist(d)
-    while b - a > 1e-12:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = dist(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = dist(d)
-    return dist((a + b) / 2.0)
+    foot = 2.0 * ss.imag / (1.0 + abs(ss) ** 2 + abs(ss - 1j) * abs(ss + 1j))
+    y = min(max(foot, y1, -1.0 + 1e-12), y2, 1.0 - 1e-12)
+    return hyp_dist_disk(ss, complex(0.0, y))

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from polebounds import arcs
 from polebounds import (
     DegenerateGeometryError,
     DomainError,
@@ -67,6 +68,100 @@ def test_reflection_is_involutive():
 def test_distance_to_polyline():
     assert J_AXIS.distance_to(0.3 + 0j) == pytest.approx(0.3)
     assert J_AXIS.distance_to(0.0 + 0.9j) == pytest.approx(0.4)
+
+
+def _orient_scalar(a, b, c):
+    return (b.real - a.real) * (c.imag - a.imag) - (b.imag - a.imag) * (c.real - a.real)
+
+
+def _segments_cross_scalar(a, b, c, d):
+    """The pairwise segment predicate the array simplicity test replaced."""
+    d1 = _orient_scalar(c, d, a)
+    d2 = _orient_scalar(c, d, b)
+    d3 = _orient_scalar(a, b, c)
+    d4 = _orient_scalar(a, b, d)
+    if ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)):
+        return True
+
+    def on(a, b, c):
+        return (
+            _orient_scalar(a, b, c) == 0.0
+            and min(a.real, b.real) <= c.real <= max(a.real, b.real)
+            and min(a.imag, b.imag) <= c.imag <= max(a.imag, b.imag)
+        )
+
+    return on(c, d, a) or on(c, d, b) or on(a, b, c) or on(a, b, d)
+
+
+def _is_simple_scalar(verts):
+    n = len(verts) - 1
+    for i in range(n):
+        for j in range(i + 2, n):
+            if i == 0 and j == n - 1 and verts[0] == verts[n]:
+                continue
+            if _segments_cross_scalar(verts[i], verts[i + 1], verts[j], verts[j + 1]):
+                return False
+    return True
+
+
+def _is_simple(verts):
+    try:
+        PolylineArc(verts)
+    except DomainError as exc:
+        assert "not simple" in str(exc)
+        return False
+    return True
+
+
+@pytest.mark.parametrize("pair_block", [None, 5])
+def test_array_simplicity_matches_pairwise_loop_on_lattice(monkeypatch, pair_block):
+    # a coarse integer grid makes collinear, touching and overlapping segments
+    # common; points on a sloped line make orientation signs come from rounding
+    if pair_block is not None:
+        monkeypatch.setattr(arcs, "_PAIR_BLOCK", pair_block)
+    rng = np.random.default_rng(2024)
+    seen = {True: 0, False: 0}
+    for k in range(1500):
+        m = int(rng.integers(2, 10))
+        if k % 3 == 0:
+            pts = [complex(x, 0.1 + 0.3 * x) for x in rng.integers(-9, 10, m) / 10]
+        else:
+            g = int(rng.integers(2, 5))
+            pts = [complex(x, y) / 8 for x, y in rng.integers(-g, g + 1, (m, 2))]
+        if k % 4 == 0:
+            pts.append(pts[0])
+        verts = tuple(v for i, v in enumerate(pts) if i == 0 or v != pts[i - 1])
+        if len(verts) < 2:
+            continue
+        expected = _is_simple_scalar(verts)
+        assert _is_simple(verts) == expected, verts
+        seen[expected] += 1
+    assert min(seen.values()) > 200
+
+
+@pytest.mark.parametrize(
+    "verts",
+    [
+        (-0.5j, 0.4 + 0.2j, 0.4 - 0.2j, -0.3 + 0.3j),  # X crossing
+        (-0.5j, 0.5j, 0.4 + 0.5j, 0.4, 0.0),  # a vertex touches an earlier segment
+        (-0.5j, 0.4 - 0.5j, 0.4 + 0.5j, 0.4 + 0.2j, 0.4 - 0.2j),  # collinear overlap
+        (-0.4 - 0.4j, 0.4 + 0.4j, 0.4 - 0.4j, -0.4 + 0.4j, -0.4 - 0.4j),  # closed bow tie
+    ],
+    ids=["x_crossing", "vertex_on_segment", "collinear_overlap", "closed_loop"],
+)
+def test_non_simple_polylines_rejected(verts):
+    assert not _is_simple_scalar(verts)
+    with pytest.raises(DomainError, match="not simple"):
+        PolylineArc(verts)
+
+
+def test_closed_loop_may_share_its_first_vertex():
+    square = (-0.5j, 0.4 - 0.5j, 0.4 + 0.5j, 0.5j, -0.5j)
+    assert PolylineArc(square).vertices == square
+
+
+def test_normalize_returns_an_axis_arc_itself():
+    assert normalize_to_axis(0.3 + 0j, -0.5j, 0.5j, J_LEFT).arc is J_LEFT
 
 
 # ------------------------------------------------------------ axis enclosure

@@ -1,9 +1,12 @@
 """Command-line interface: formats, exit codes, reproducibility."""
 
+import contextlib
 import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from polebounds.cli import main, parse_complex, parse_grid
 
@@ -246,3 +249,36 @@ def test_harmonic_all_walks_capped_exits_2(monkeypatch, capsys):
     _assert_usage_error(
         ["harmonic", "--z", "0,2", "--a", "1", "--b", "4", "--p", "0.5", "--wos", "10"], capsys
     )
+
+
+_NUMBER = st.one_of(
+    st.integers(-9, 9).map(lambda k: repr(k / 10)),
+    st.floats(-1.5, 1.5).map(repr),
+    st.sampled_from(["nan", "-inf", "1e400", "-0.0", "5e-324", "1_0", "0x1", "x"]),
+)
+_VERTEX = st.tuples(_NUMBER, _NUMBER).map(" ".join)
+_JUNK = st.one_of(
+    st.sampled_from(["", "# comment", "pole", "pole 0.1", "1 2 3", "\t"]),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=8),
+)
+# mostly parseable files with endpoints on the axis, so the geometry runs too
+_INSTANCE = st.tuples(
+    st.tuples(st.just("pole"), _NUMBER, _NUMBER).map(" ".join),
+    st.sampled_from(["0 -0.5", "0.0 -0.9", "0.3 -0.4"]),
+    st.lists(st.one_of(_VERTEX, _JUNK), max_size=6),
+    st.sampled_from(["0 0.5", "0.0 0.9", "-0.2 0.6"]),
+).map(lambda t: [t[0], t[1], *t[2], t[3]])
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(lines=st.one_of(_INSTANCE, st.lists(st.one_of(_VERTEX, _JUNK), max_size=6)),
+       family=st.sampled_from(["mobius", "koebe"]))
+def test_arc_file_fuzz_exits_cleanly(tmp_path, lines, family):
+    path = tmp_path / "instance.txt"
+    path.write_text("\n".join(lines), encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["arc", "--family", family, "--file", str(path)], out=io.StringIO())
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -216,6 +217,56 @@ def test_segment_distance_unimodality_oracle():
         brute = np.arctanh(np.abs((s - 1j * ys) / (1 - s * np.conj(1j * ys)))).min()
         assert got <= brute + 1e-12
         assert got == pytest.approx(brute, abs=1e-7)
+
+
+def test_segment_distance_on_the_real_axis():
+    # Im s = 0: the foot is the origin, or the segment end nearest to it
+    assert hyp_dist_to_vertical_segment(-0.5, -0.3, 0.4) == pytest.approx(math.atanh(0.5), abs=1e-15)
+    assert hyp_dist_to_vertical_segment(0.5, 0.2, 0.7) == hyp_dist_disk(0.5, 0.2j)
+
+
+@pytest.mark.parametrize("im", [1e-300, -1e-300])
+def test_segment_distance_at_tiny_imaginary_part(im):
+    # the centre (1 + |s|^2) / (2 Im s) of the perpendicular overflows here
+    got = hyp_dist_to_vertical_segment(complex(0.5, im), -0.5, 0.5)
+    assert got == pytest.approx(math.atanh(0.5), abs=1e-15)
+
+
+def test_segment_distance_foot_clamped_to_each_end():
+    s = 0.3 + 0.6j  # the foot of the perpendicular is near 0.53i
+    assert hyp_dist_to_vertical_segment(s, -0.5, 0.0) == hyp_dist_disk(s, 0.0)
+    assert hyp_dist_to_vertical_segment(s, 0.8, 0.95) == hyp_dist_disk(s, 0.8j)
+    assert hyp_dist_to_vertical_segment(s, 0.0, 0.95) < hyp_dist_disk(s, 0.53j)
+
+
+def _mp_dist_to_axis_segment(s, y1, y2):
+    """Dense scan of the distance along the segment at 40 digits, then zoom scans."""
+    with mpmath.workdps(40):
+        ss = mpmath.mpc(s.real, s.imag)
+
+        def dist(y):
+            w = mpmath.mpc(0, y)
+            return mpmath.atanh(abs((ss - w) / (1 - ss * mpmath.conj(w))))
+
+        lo, hi, m = mpmath.mpf(y1), mpmath.mpf(y2), 100
+        for _ in range(10):
+            ys = [lo + (hi - lo) * k / m for k in range(m + 1)]
+            vals = [dist(y) for y in ys]
+            k = vals.index(min(vals))
+            lo, hi, m = ys[max(k - 1, 0)], ys[min(k + 1, m)], 20
+        return float(min(vals))
+
+
+def test_segment_distance_matches_mpmath_scan():
+    rng = np.random.default_rng(4711)
+    for _ in range(50):
+        r, th = 0.95 * math.sqrt(rng.uniform()), rng.uniform(0, 2 * math.pi)
+        s = cmath.rect(r, th)
+        y1 = rng.uniform(-0.95, 0.85)
+        y2 = rng.uniform(y1 + 0.05, 0.95)
+        assert hyp_dist_to_vertical_segment(s, y1, y2) == pytest.approx(
+            _mp_dist_to_axis_segment(s, y1, y2), abs=1e-13
+        )
 
 
 def test_segment_distance_domain_errors():
