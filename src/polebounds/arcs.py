@@ -45,6 +45,7 @@ from .lengths import (
     DEFAULT_LENGTH_TOL,
     TestFunction,
     _conservative_verdict,
+    _polyline_distance,
     _segment_distance,
     image_curve_length,
     polyline_image_length,
@@ -151,7 +152,7 @@ class PolylineArc:
         return PolylineArc(tuple(-v.conjugate() for v in self.vertices))
 
     def distance_to(self, w: complex) -> float:
-        return min(_segment_distance(u, v, w) for u, v in zip(self.vertices, self.vertices[1:]))
+        return _polyline_distance(self.vertices, w)
 
     def length(self) -> float:
         return sum(abs(v - u) for u, v in zip(self.vertices, self.vertices[1:]))

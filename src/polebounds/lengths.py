@@ -120,6 +120,10 @@ def _segment_distance(z0: complex, z1: complex, w: complex) -> float:
     return abs(w - (z0 + t * d))
 
 
+def _polyline_distance(vertices: tuple[complex, ...], w: complex) -> float:
+    return min(_segment_distance(z0, z1, w) for z0, z1 in zip(vertices, vertices[1:]))
+
+
 def segment_curve(z0: complex, z1: complex, label: str = "segment") -> Curve:
     """The straight segment from ``z0`` to ``z1`` on ``t`` in [0, 1]."""
     if z0 == z1:
@@ -157,9 +161,7 @@ def _polyline_curve(vertices: tuple[complex, ...]) -> Curve:
         t0=0.0,
         t1=float(len(steps)),
         label="polyline",
-        distance_to=lambda w: min(
-            _segment_distance(z0, z1, w) for z0, z1 in zip(vertices, vertices[1:])
-        ),
+        distance_to=lambda w: _polyline_distance(vertices, w),
     )
 
 

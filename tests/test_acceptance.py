@@ -211,7 +211,7 @@ def test_criterion_10_arc_desk_suite():
         for family in (mobius_family, koebe_family):
             rep = verify_arc_inequality(family(pole), arc)
             ok &= rep.passed and rep.branch == branch
-        # golden-section tau against a 1e6-point brute-force grid
+        # closed-form tau (perpendicular geodesic foot) against a 1e6-point brute-force grid
         from polebounds.arcs import enclosed_axis_segment
 
         y_lo, y_hi = enclosed_axis_segment(arc)

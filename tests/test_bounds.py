@@ -227,6 +227,80 @@ def test_measure_minimum_matches_mpmath(p):
     assert res.q_star == pytest.approx(float(q_min), rel=1e-6)
 
 
+def _mp_angle_bound(p, q):
+    theta = mp.atan((q - 1) / (q + 1)) - mp.atan((1 - p * p) * (q - 1) / (2 * p * (q + 1)))
+    return (1 + p * p) * mp.log(q) / (2 * p) * mp.cot(theta / 4) ** 2
+
+
+@pytest.mark.parametrize(
+    "kind,p",
+    [("measure", p) for p in (0.999, 0.5, 0.1, 0.01, 1e-4)]
+    + [("angle", p) for p in (0.999, 0.7, 0.5)],
+)
+def test_q_star_matches_mpmath_argmin(kind, p):
+    # the mpmath argmin is the root of the derivative in t = log(q - 1), from a 1/16 scan in t
+    bound = {"measure": _mp_measure_bound, "angle": _mp_angle_bound}[kind]
+    with mp.workdps(40):
+        g = lambda t: bound(mp.mpf(p), 1 + mp.exp(t))
+        start = min((mp.mpf(k) / 16 for k in range(-224, 304)), key=g)
+        q_min = 1 + mp.exp(mp.findroot(lambda t: mp.diff(g, t), start))
+    res = minimize_over_q(p, kind)
+    assert abs(res.q_star / q_min - 1) <= 1e-9
+
+
+@pytest.mark.parametrize("kind,p", [("measure", 0.5), ("angle", 0.7), ("limit", 1.0)])
+def test_minimize_makes_three_array_calls_and_at_most_two_scalar_calls(monkeypatch, kind, p):
+    import polebounds.bounds as bounds_mod
+
+    formula_name, scalar_name = {
+        "measure": ("_measure_formula", "measure_bound"),
+        "angle": ("_angle_formula", "angle_bound"),
+        "limit": ("_measure_formula", "limit_bound"),
+    }[kind]
+    sizes, scalar_calls = [], []
+
+    def counted_formula(p, q, inner=getattr(bounds_mod, formula_name)):
+        if np.ndim(q) > 0:  # angle_bound itself calls the formula on a scalar
+            sizes.append(np.size(q))
+        return inner(p, q)
+
+    def counted_scalar(*args, inner=getattr(bounds_mod, scalar_name)):
+        scalar_calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(bounds_mod, formula_name, counted_formula)
+    monkeypatch.setattr(bounds_mod, scalar_name, counted_scalar)
+    res = minimize_over_q(p, kind)
+    assert sizes == [len(_Q_GRID), 65, 65]
+    assert 1 <= len(scalar_calls) <= 2
+    assert res.evaluations == len(_Q_GRID) + 2 * 65 + 1
+
+
+def _iv_measure_bound(p, q):
+    # trig-free: cot(arccot(x)/4) = y + sqrt(1+y^2) with y = x + sqrt(1+x^2) = cot(arccot(x)/2)
+    iv = mp.iv
+    p, q = iv.mpf(p), iv.mpf(q)
+    x = (q + 1) / (q - 1) + (1 - p * p) ** 2 * (1 + q * q) / (
+        2 * p * (q - 1) * (4 * p * iv.sqrt(q) + (1 + q) * (1 + p * p))
+    )
+    y = x + iv.sqrt(1 + x * x)
+    cot = y + iv.sqrt(1 + y * y)
+    return (1 + p * p) * iv.log(q) / (2 * p) * cot * cot
+
+
+def test_table_measure_minima_are_certified_by_interval_enclosures():
+    # any q > 1 gives a valid bound, so an enclosure at q_star proves the reported minimum
+    dps = mp.iv.dps
+    mp.iv.dps = 30
+    try:
+        for row in table_rows():
+            enclosure = _iv_measure_bound(row.p, minimize_over_q(row.p, "measure").q_star)
+            assert enclosure.delta < 1e-25, row.p
+            assert abs((mp.iv.mpf(row.measure_min) - enclosure) / enclosure) < 1e-15, row.p
+    finally:
+        mp.iv.dps = dps
+
+
 def test_minimize_rejects_unknown_kind():
     with pytest.raises(DomainError):
         minimize_over_q(0.5, "nonsense")

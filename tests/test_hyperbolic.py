@@ -207,7 +207,7 @@ def test_segment_distance_matches_brute_force_grid():
 
 
 def test_segment_distance_unimodality_oracle():
-    # golden-section result matches an independent dense scan on random cases
+    # the closed-form perpendicular foot matches an independent dense scan on random cases
     for _ in range(25):
         s = complex(rand_disk(1, rmax=0.98)[0])
         y1 = RNG.uniform(-0.95, 0.5)

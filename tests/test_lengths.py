@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -184,6 +185,45 @@ def test_error_estimate_covers_true_error_and_meets_tol():
                 for curve, length in zip(curves, exact):
                     value, err = image_curve_length(f, curve, tol)
                     assert abs(value - length) <= err <= tol, (f.id, p, tol, curve.label)
+
+
+# Independent 40-digit oracles: the koebe family's closed forms, and for the
+# mobius family the circular-arc length chord * beta / sin(beta), where beta is
+# half the arc's central angle, pi minus the inscribed angle at a third point.
+
+
+def _mp_arc_length(a, m, b):
+    """Length of the circular arc from ``a`` through ``m`` to ``b``."""
+    beta = mp.pi - abs(mp.arg((a - m) / (b - m)))
+    return abs(b - a) * beta / mp.sin(beta)
+
+
+@pytest.mark.parametrize("p", [0.01, 0.05, 0.3, 0.6, 0.9, 0.99])
+def test_koebe_lengths_match_mpmath_closed_forms(p):
+    with mp.workdps(40):
+        P = mp.mpf(p)
+        exact = {
+            "I1": mp.pi * P / (1 + P * P),
+            "T-": 2 * P / (1 + P * P) - 2 * P / (1 + P) ** 2,
+        }
+        for curve in (vertical_diameter(), left_half_circle()):
+            value, err = image_curve_length(koebe_family(p), curve, tol=1e-12)
+            assert abs(value - exact[curve.label]) <= err <= 1e-12, curve.label
+
+
+@pytest.mark.parametrize("pole", [0.05, 0.5, 0.9, 0.3 + 0.4j, -0.2 - 0.5j])
+def test_mobius_lengths_match_mpmath_circular_arcs(pole):
+    curves = {
+        "I1": (vertical_diameter(), (-1j, 0.0, 1j)),
+        "T-": (left_half_circle(), (1j, -1.0, -1j)),
+        "segment": (segment_curve(0.6 - 0.7j, -0.5 + 0.1j), (0.6 - 0.7j, 0.05 - 0.3j, -0.5 + 0.1j)),
+    }
+    with mp.workdps(40):
+        ev = lambda z: 1 / (mp.mpc(z) - mp.mpc(pole))
+        for label, (curve, (a, m, b)) in curves.items():
+            exact = _mp_arc_length(ev(a), ev(m), ev(b))
+            value, err = image_curve_length(mobius_family(pole), curve, tol=1e-12)
+            assert abs(value - exact) <= err <= 1e-12, label
 
 
 def test_tol_below_roundoff_raises():
