@@ -223,7 +223,7 @@ def test_measure_minimum_matches_mpmath(p):
         expect = f(q_min)
     res = minimize_over_q(p, "measure")
     assert abs(res.value / expect - 1) <= 1e-13
-    # q_star is only determined to about 1e-7 relative: the minimum is flat
+    # a loose check; test_q_star_matches_mpmath_argmin holds q_star to 1e-9
     assert res.q_star == pytest.approx(float(q_min), rel=1e-6)
 
 
