@@ -19,11 +19,12 @@ mirror image ``J^`` across the imaginary axis:
   outside the disk without crossing ``J``).
 
 Arcs are restricted to polylines so that axis intersections, reflection and
-hull membership are exact. Hull tests use the winding number of the relevant
-closed polyline; the standing hypothesis ``s`` outside ``hull(gamma~ + J)``
-additionally requires ``s`` to stay off both curves. When ``gamma~``
-overhangs the endpoints of ``J``, the closed curve is taken as ``J`` plus the
-chord joining its endpoints, the overhang counting as a degenerate slit.
+hull membership are exact. Both hull tests are winding numbers of ``J``
+closed by the axis chord between its endpoints: about ``s`` it must be 0 for
+the standing hypothesis ``s`` outside ``hull(gamma~ + J)`` (which also keeps
+``s`` off both curves; an overhang of ``gamma~`` past the endpoints counts
+as a degenerate slit), and about ``-conj(s)`` it decides the branch, since
+reflection makes that the winding number of ``J + J^`` about ``s``.
 """
 
 from __future__ import annotations
@@ -154,15 +155,8 @@ class PolylineArc:
     def distance_to(self, w: complex) -> float:
         return _polyline_distance(self.vertices, w)
 
-    def length(self) -> float:
-        return sum(abs(v - u) for u, v in zip(self.vertices, self.vertices[1:]))
 
-
-def _is_on_axis(arc: PolylineArc, tol: float = GEOMETRY_TOL) -> bool:
-    return all(abs(v.real) <= tol for v in arc.vertices)
-
-
-def enclosed_axis_segment(arc: PolylineArc, tol: float = GEOMETRY_TOL) -> tuple[float, float]:
+def enclosed_axis_segment(arc: PolylineArc) -> tuple[float, float]:
     """The axis segment enclosed by an arc whose endpoints lie on the axis.
 
     Returns ``(y_lo, y_hi)`` for the vertical segment ``[i y_lo, i y_hi]``:
@@ -175,14 +169,14 @@ def enclosed_axis_segment(arc: PolylineArc, tol: float = GEOMETRY_TOL) -> tuple[
     """
     verts = arc.vertices
     z1, z2 = arc.endpoints
-    if abs(z1.real) > tol or abs(z2.real) > tol:
+    if abs(z1.real) > GEOMETRY_TOL or abs(z2.real) > GEOMETRY_TOL:
         raise DomainError("arc endpoints must lie on the imaginary axis (normalize first)")
-    if _is_on_axis(arc, tol):
+    xs = [v.real for v in verts]
+    on = [abs(x) <= GEOMETRY_TOL for x in xs]
+    if all(on):
         ys = [v.imag for v in verts]
         return min(ys), max(ys)
 
-    xs = [v.real for v in verts]
-    on = [abs(x) <= tol for x in xs]
     n = len(verts)
     for i in range(n - 1):
         if on[i] and on[i + 1]:
@@ -227,12 +221,6 @@ def winding_number(point: complex, loop: tuple[complex, ...]) -> int:
     return w
 
 
-def _mirror_loop(arc: PolylineArc) -> tuple[complex, ...]:
-    """Closed loop traversing the arc and then its mirror image back."""
-    back = [-v.conjugate() for v in reversed(arc.vertices)]
-    return arc.vertices + tuple(back[1:-1])
-
-
 @dataclass(frozen=True)
 class ArcConstant:
     """Branch decision and the applicable constant for an arc instance."""
@@ -250,7 +238,8 @@ def arc_constant(
     Requires the standing hypothesis that ``s`` lies outside the filled
     region bounded by the enclosed axis segment and the arc (including both
     curves); raises :class:`HypothesisViolationError` otherwise. The branch
-    is decided by the winding number of the arc-plus-mirror loop about ``s``.
+    is inside when the arc closed by its axis chord winds around the
+    reflected pole ``-conj(s)``, which is where ``J + J^`` winds around ``s``.
     """
     ss = as_complex(s)
     if abs(ss) >= 1.0:
@@ -265,21 +254,19 @@ def arc_constant(
         raise HypothesisViolationError("pole lies on the arc")
     if _segment_distance(1j * y_lo, 1j * y_hi, ss) <= _ON_CURVE_TOL:
         raise HypothesisViolationError("pole lies on the enclosed axis segment")
-    if not _is_on_axis(arc):
-        # Implicit closure of the loop is the axis chord joining the endpoints;
-        # the overhang of the axis segment beyond them is a degenerate slit and
-        # was covered by the distance check above.
-        if winding_number(ss, arc.vertices) != 0:
-            raise HypothesisViolationError(
-                "pole lies inside the region bounded by the arc and the axis"
-            )
+    # Implicit closure of the loop is the axis chord joining the endpoints; the
+    # overhang of the axis segment beyond them is a degenerate slit and was
+    # covered by the distance check above. An arc within GEOMETRY_TOL of the
+    # axis winds around no point that passed that check.
+    if winding_number(ss, arc.vertices) != 0:
+        raise HypothesisViolationError(
+            "pole lies inside the region bounded by the arc and the axis"
+        )
 
     tau = math.tanh(hyp_dist_to_vertical_segment(ss, y_lo, y_hi))
-    if _is_on_axis(arc):
-        inside = False
-    else:
-        inside = winding_number(ss, _mirror_loop(arc)) != 0
-    if inside:
+    # Off J^ this is the winding number of J + J^ about s (its part about s is 0
+    # here): reflection negates each _orient exactly, and the chord edges cancel.
+    if winding_number(-ss.conjugate(), arc.vertices) != 0:
         if not 0.0 < tau < 1.0:
             raise DegenerateGeometryError(f"tau = {tau!r} outside (0, 1)")
         return ArcConstant(

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from decimal import ROUND_HALF_UP, Decimal
+from decimal import ROUND_HALF_UP, Context, Decimal
 
 import numpy as np
 
@@ -156,9 +156,18 @@ def scaled_cot_bound(p: float) -> float:
 
 
 def closed_form_bound(p: float) -> float:
-    """Explicit upper bound ``(1+p^2)/p * (1 + sqrt(2) + 20/(3p))^2 * log 2``."""
+    """Explicit upper bound ``(1+p^2)/p * (1 + sqrt(2) + 20/(3p))^2 * log 2``.
+
+    It overflows a double for ``p`` below about 6.3e-103: :class:`DomainError` there.
+    """
     p = _check_unit_interval(p, "p")
-    return (1.0 + p * p) / p * (1.0 + math.sqrt(2.0) + 20.0 / (3.0 * p)) ** 2 * math.log(2.0)
+    try:
+        value = (1.0 + p * p) / p * (1.0 + math.sqrt(2.0) + 20.0 / (3.0 * p)) ** 2 * math.log(2.0)
+    except OverflowError:
+        value = math.inf
+    if value == math.inf:
+        raise DomainError(f"the closed-form bound overflows at p={p!r}")
+    return value
 
 
 def cot_of_scaled_arccot(x: float, k: float) -> float:
@@ -286,4 +295,5 @@ def table_rows(p_list=DEFAULT_TABLE_P) -> list[TableRow]:
 def round_half_up(x: float, ndigits: int = 3) -> float:
     """Round half away from zero, matching the table presentation."""
     quantum = Decimal(1).scaleb(-ndigits)
-    return float(Decimal(repr(x)).quantize(quantum, rounding=ROUND_HALF_UP))
+    # 400 digits hold any finite double to 3 decimals; the default 28 do not.
+    return float(Decimal(repr(x)).quantize(quantum, ROUND_HALF_UP, Context(prec=400)))

@@ -22,7 +22,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 from . import arcs, bounds, harmonic, lengths
 from .errors import PoleBoundsError
@@ -34,15 +33,8 @@ EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
 EXIT_USAGE = 2
 
-
-@dataclass
-class RunConfig:
-    """Effective settings for one invocation."""
-
-    fmt: str = "text"
-    seed: int = harmonic.DEFAULT_SEED
-    tol: float = lengths.DEFAULT_LENGTH_TOL
-    a1_value: float = arcs.DEFAULT_ANALYTIC_CONSTANT
+#: Most points a ``--grid`` may hold, so that the list it builds stays small.
+_MAX_GRID_POINTS = 10_000
 
 
 def parse_complex(text: str) -> complex:
@@ -54,30 +46,21 @@ def parse_complex(text: str) -> complex:
 
 
 def parse_grid(text: str) -> list[float]:
-    """Parse ``start:stop:step`` into an inclusive list of values."""
+    """Parse ``start:stop:step`` into an inclusive list of at most ``_MAX_GRID_POINTS`` values."""
     try:
         start, stop, step = (float(v) for v in text.split(":"))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad grid {text!r}: use start:stop:step") from exc
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise argparse.ArgumentTypeError(f"bad grid {text!r}: start, stop and step must be finite")
     if step <= 0 or stop < start:
         raise argparse.ArgumentTypeError(f"bad grid {text!r}: need start <= stop, step > 0")
-    values = []
-    k = 0
-    while True:
-        v = start + k * step
-        if v > stop + 1e-12:
-            break
-        values.append(round(v, 12))
-        k += 1
-    return values
-
-
-def _fmt_cell(v) -> str:
-    if v is None:
-        return "---"
-    if isinstance(v, float):
-        return f"{bounds.round_half_up(v):.3f}"
-    return str(v)
+    steps = (stop - start + 1e-12) / step
+    if steps >= _MAX_GRID_POINTS:
+        raise argparse.ArgumentTypeError(f"bad grid {text!r}: more than {_MAX_GRID_POINTS} points")
+    # start + k*step never decreases in k, so the kept values are a prefix.
+    grid = (start + k * step for k in range(int(steps) + 2))
+    return [round(v, 12) for v in grid if v <= stop + 1e-12]
 
 
 def emit(records: list[dict], fmt: str, out) -> None:
@@ -119,50 +102,48 @@ def _bound_record(res: bounds.BoundResult) -> dict:
     }
 
 
-def cmd_bounds(args, cfg: RunConfig, out) -> int:
+def cmd_bounds(args, out) -> int:
     if args.kind == "lb":
         res = bounds.BoundResult(p=args.p, kind="lower", value=bounds.lower_bound(args.p))
     elif args.kind == "closed":
         res = bounds.BoundResult(p=args.p, kind="closed", value=bounds.closed_form_bound(args.p))
     else:
         res = bounds.minimize_over_q(args.p, args.kind)
-    emit([_bound_record(res)], cfg.fmt, out)
+    emit([_bound_record(res)], args.format, out)
     return EXIT_OK
 
 
-def cmd_table(args, cfg: RunConfig, out) -> int:
+def cmd_table(args, out) -> int:
     p_list = args.p if args.p else list(bounds.DEFAULT_TABLE_P)
-    rows = bounds.table_rows(p_list)
-    if cfg.fmt == "text":
-        header = ("p", "lower", "angle_min", "closed_form", "measure_min")
-        widths = (6, 10, 12, 12, 12)
-        out.write("".join(h.rjust(w) for h, w in zip(header, widths)) + "\n")
-        for r in rows:
-            cells = (f"{r.p:g}", _fmt_cell(r.lower), _fmt_cell(r.angle_min),
-                     _fmt_cell(r.closed_form), _fmt_cell(r.measure_min))
-            out.write("".join(c.rjust(w) for c, w in zip(cells, widths)) + "\n")
-    else:
-        records = [
-            {
-                "p": r.p,
-                "lower": bounds.round_half_up(r.lower),
-                "angle_min": None if r.angle_min is None else bounds.round_half_up(r.angle_min),
-                "closed_form": bounds.round_half_up(r.closed_form),
-                "measure_min": bounds.round_half_up(r.measure_min),
-            }
-            for r in rows
-        ]
-        emit(records, cfg.fmt, out)
+    records = [
+        {
+            "p": r.p,
+            "lower": bounds.round_half_up(r.lower),
+            "angle_min": None if r.angle_min is None else bounds.round_half_up(r.angle_min),
+            "closed_form": bounds.round_half_up(r.closed_form),
+            "measure_min": bounds.round_half_up(r.measure_min),
+        }
+        for r in bounds.table_rows(p_list)
+    ]
+    if args.format != "text":
+        emit(records, args.format, out)
+        return EXIT_OK
+    widths = (6, 10, 12, 12, 12)
+    out.write("".join(h.rjust(w) for h, w in zip(records[0], widths)) + "\n")
+    for rec in records:
+        p, *values = rec.values()
+        cells = (f"{p:g}", *("---" if v is None else f"{v:.3f}" for v in values))
+        out.write("".join(c.rjust(w) for c, w in zip(cells, widths)) + "\n")
     return EXIT_OK
 
 
-def cmd_verify(args, cfg: RunConfig, out) -> int:
+def cmd_verify(args, out) -> int:
     family = lengths.FAMILIES[args.family]
     p_values = args.grid if args.grid else [args.p]
     records = []
     all_passed = True
     for p in p_values:
-        rep = lengths.verify_inequality(family(p), p, cfg.tol)
+        rep = lengths.verify_inequality(family(p), p, args.tol)
         all_passed &= rep.passed
         records.append(
             {
@@ -175,16 +156,16 @@ def cmd_verify(args, cfg: RunConfig, out) -> int:
                 "passed": rep.passed,
             }
         )
-    emit(records, cfg.fmt, out)
+    emit(records, args.format, out)
     return EXIT_OK if all_passed else EXIT_VERIFICATION_FAILED
 
 
-def cmd_arc(args, cfg: RunConfig, out) -> int:
+def cmd_arc(args, out) -> int:
     pole, arc = arcs.load_polyline_instance(args.file)
     z1, z2 = arc.endpoints
     inst = arcs.normalize_to_axis(pole, z1, z2, arc)
     f = lengths.FAMILIES[args.family](inst.s)
-    rep = arcs.verify_arc_inequality(f, inst.arc, cfg.tol, cfg.a1_value)
+    rep = arcs.verify_arc_inequality(f, inst.arc, args.tol, args.a1_value)
     emit(
         [
             {
@@ -200,13 +181,13 @@ def cmd_arc(args, cfg: RunConfig, out) -> int:
                 "passed": rep.passed,
             }
         ],
-        cfg.fmt,
+        args.format,
         out,
     )
     return EXIT_OK if rep.passed else EXIT_VERIFICATION_FAILED
 
 
-def cmd_harmonic(args, cfg: RunConfig, out) -> int:
+def cmd_harmonic(args, out) -> int:
     z = args.z
     value = harmonic.hm_omega1(z, args.a, args.b, args.p)
     rec = {
@@ -222,13 +203,13 @@ def cmd_harmonic(args, cfg: RunConfig, out) -> int:
         rec["sandwich_hi"] = 0.5
     if args.wos:
         est = harmonic.wos_harmonic_measure(
-            z, args.a, args.b, args.p, n_walks=args.wos, eps=args.eps, seed=cfg.seed
+            z, args.a, args.b, args.p, n_walks=args.wos, eps=args.eps, seed=args.seed
         )
         rec["wos_mean"] = est.mean
         rec["wos_stderr"] = est.stderr
         rec["wos_used"] = est.n_used
         rec["wos_capped"] = est.n_capped
-    emit([rec], cfg.fmt, out)
+    emit([rec], args.format, out)
     return EXIT_OK
 
 
@@ -308,14 +289,8 @@ def main(argv=None, out=None) -> int:
         print(f"error: ${FORMAT_ENV_VAR} must be one of {FORMATS}, got {args.format!r}",
               file=sys.stderr)
         return EXIT_USAGE
-    cfg = RunConfig(
-        fmt=args.format,
-        seed=getattr(args, "seed", harmonic.DEFAULT_SEED),
-        tol=getattr(args, "tol", lengths.DEFAULT_LENGTH_TOL),
-        a1_value=getattr(args, "a1_value", arcs.DEFAULT_ANALYTIC_CONSTANT),
-    )
     try:
-        return args.func(args, cfg, out)
+        return args.func(args, out)
     except (PoleBoundsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

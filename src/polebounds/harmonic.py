@@ -144,13 +144,14 @@ def wos_harmonic_measure(
 ) -> WosEstimate:
     """Walk-on-spheres estimate of the harmonic measure of ``[a, b]``.
 
-    The domain is Omega1 for ``p`` in (0, 1); ``p = 1`` degenerates the
-    excluded disk to a point and the domain to the full half-plane (useful for
+    The domain is Omega1 for ``p`` in (0, 1). At ``p = 1`` the excluded disk
+    is the point ``-1``, whose distance never falls below ``Im z``: the walk
+    sees the full half-plane, and any ``a < b`` is allowed (useful for
     validating against :func:`hm_halfplane`). Each step jumps to a uniform
     point on the largest inscribed circle at the current position; a walk is
-    absorbed once within ``eps`` of the boundary and scores 1 when its nearest
-    boundary point lies in ``[a, b]`` on the real axis. Walks exceeding the
-    step cap are discarded and reported in ``n_capped``.
+    absorbed once within ``eps`` (finite, positive) of the boundary and scores
+    1 when its nearest boundary point lies in ``[a, b]`` on the real axis.
+    Walks exceeding the step cap are discarded and reported in ``n_capped``.
 
     All walks advance in lockstep on a single seeded generator, so a given
     ``(inputs, seed)`` pair always reproduces the same estimate.
@@ -158,15 +159,16 @@ def wos_harmonic_measure(
     zz = as_complex(z)
     if n_walks < 1:
         raise DomainError("n_walks must be at least 1")
-    if eps <= 0.0:
-        raise DomainError("eps must be positive")
+    if not 0.0 < eps < math.inf:
+        raise DomainError(f"eps must be positive and finite, got {eps!r}")
+    if seed < 0:
+        raise DomainError(f"seed must be non-negative, got {seed!r}")
     if not a < b:
         raise DomainError("need a < b")
-    halfplane_only = p == 1.0
-    if halfplane_only:
+    if p == 1.0:
         if zz.imag <= 0.0:
             raise DomainError("z must lie in the open upper half-plane")
-        center = radius = 0.0
+        center, radius = 1.0, 0.0
     else:
         if not 0.0 < a:
             raise DomainError("need 0 < a < b for an Omega1 query")
@@ -185,19 +187,12 @@ def wos_harmonic_measure(
         if active.size == 0:
             break
         cur = pts[active]
-        d_axis = cur.imag
-        if halfplane_only:
-            dist = d_axis
-        else:
-            dist = np.minimum(d_axis, np.abs(cur + center) - radius)
+        dist = np.minimum(cur.imag, np.abs(cur + center) - radius)
         absorb = dist < eps
         if absorb.any():
             done = active[absorb]
             zdone = pts[done]
-            if halfplane_only:
-                nearest_on_axis = np.ones(done.size, dtype=bool)
-            else:
-                nearest_on_axis = zdone.imag <= np.abs(zdone + center) - radius
+            nearest_on_axis = zdone.imag <= np.abs(zdone + center) - radius
             x = zdone.real
             hit[done] = nearest_on_axis & (x >= a) & (x <= b)
             keep = ~absorb

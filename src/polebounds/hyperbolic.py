@@ -86,10 +86,6 @@ class ExcludedDisk:
         """Signed distance to the boundary circle (positive outside)."""
         return abs(as_complex(z) - self.center) - self.radius
 
-    def contains(self, z: ComplexLike, closed: bool = True) -> bool:
-        gap = self.boundary_gap(z)
-        return gap <= 0.0 if closed else gap < 0.0
-
 
 def hyp_dist_disk(z: ComplexLike, w: ComplexLike) -> float:
     """Hyperbolic distance between two points of the open unit disk.

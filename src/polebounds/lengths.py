@@ -32,7 +32,7 @@ at ``p``:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -210,7 +210,6 @@ class TestFunction:
     evaluate: Callable[[complex], complex]
     derivative: Callable[[complex], complex]
     pole: complex
-    params: dict = field(default_factory=dict)
 
 
 def mobius_family(p: complex) -> TestFunction:
@@ -223,7 +222,6 @@ def mobius_family(p: complex) -> TestFunction:
         evaluate=lambda z: 1.0 / (z - p),
         derivative=lambda z: -1.0 / (z - p) ** 2,
         pole=p,
-        params={"p": p},
     )
 
 
@@ -242,7 +240,6 @@ def koebe_family(p: complex) -> TestFunction:
         evaluate=lambda z: p * z / ((p - z) * (1.0 - p * z)),
         derivative=lambda z: p * p * (1.0 - z * z) / ((p - z) ** 2 * (1.0 - p * z) ** 2),
         pole=p,
-        params={"p": p},
     )
 
 

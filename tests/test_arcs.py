@@ -266,6 +266,81 @@ def test_hypothesis_violations():
         arc_constant(-0.45 - 0.25j, J_LEFT)  # coincides with a vertex
 
 
+def mirror_loop_winds(s: complex, arc: PolylineArc) -> bool:
+    """The branch test restated with the loop of the arc and its mirror image."""
+    back = [-v.conjugate() for v in reversed(arc.vertices)]
+    return winding_number(s, arc.vertices + tuple(back[1:-1])) != 0
+
+
+def star_instance(rng):
+    """A seeded star-shaped polyline with endpoints on the axis, and a pole.
+
+    Half the polylines have lattice vertices (exact zeros in the predicates);
+    vertices past the axis make interior crossings. Poles are drawn on the
+    axis, on the lattice, near the mirror of the arc's region, or anywhere.
+    """
+    n = int(rng.integers(2, 12))
+    yc = rng.uniform(-0.4, 0.4)
+    side = rng.choice([-1.0, 1.0])
+    th = np.sort(rng.uniform(-0.3, math.pi + 0.3, n))
+    r = rng.uniform(0.05, 0.95 - abs(yc), n)
+    verts = side * r * np.sin(th) + 1j * (yc - r * np.cos(th))
+    if rng.uniform() < 0.5:
+        verts = (np.round(verts.real * 16) + 1j * np.round(verts.imag * 16)) / 16
+    verts[[0, -1]] = 1j * verts[[0, -1]].imag
+    mode = rng.integers(4)
+    if mode == 0:
+        s = 1j * rng.uniform(-0.95, 0.95)
+    elif mode == 1:
+        s = complex(*np.round(rng.uniform(-0.9, 0.9, 2) * 16) / 16)
+    elif mode == 2:
+        rho, t = rng.uniform(0.0, 0.3), rng.uniform(0.0, math.pi)
+        s = complex(-side * rho * math.sin(t), yc - rho * math.cos(t))
+    else:
+        s = 0.98 * math.sqrt(rng.uniform()) * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+    try:
+        return PolylineArc(tuple(verts)), s
+    except DomainError:
+        return None, s
+
+
+def test_reflected_pole_branch_matches_mirror_loop():
+    rng = np.random.default_rng(909)
+    branches = {"inside_hull": 0, "outside_hull": 0}
+    on_axis_poles = 0
+    for _ in range(1000):
+        arc, s = star_instance(rng)
+        # The two tests agree for s off the mirror image J^. On J^ (the
+        # boundary of the filled region) neither winding number is defined.
+        if arc is None or arc.distance_to(-s.conjugate()) <= 1e-10:
+            continue
+        try:
+            sel = arc_constant(s, arc)
+        except (DomainError, HypothesisViolationError, DegenerateGeometryError):
+            continue
+        assert (sel.branch == "inside_hull") == mirror_loop_winds(s, arc)
+        branches[sel.branch] += 1
+        on_axis_poles += s.real == 0.0
+    assert min(branches.values()) >= 100 and on_axis_poles >= 60
+
+
+def test_arc_on_the_axis_encloses_no_pole():
+    # vertices within GEOMETRY_TOL of the axis; poles down to 2e-10 from it
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        ys = np.sort(rng.uniform(-0.9, 0.9, int(rng.integers(2, 8))))
+        xs = rng.uniform(-1e-12, 1e-12, ys.size) * (rng.uniform() < 0.5)
+        arc = PolylineArc(tuple(xs + 1j * ys))
+        for x in (2e-10, -3e-10, 1e-3, -0.5):
+            s = complex(x, rng.uniform(-0.85, 0.85))
+            try:
+                sel = arc_constant(s, arc)
+            except HypothesisViolationError as exc:
+                assert "enclosed axis segment" in str(exc)
+                continue
+            assert sel.branch == "outside_hull"
+
+
 # ---------------------------------------------------------------- verification
 
 

@@ -90,6 +90,14 @@ def test_closed_form_reference_values(p, expect, tol):
     assert closed_form_bound(p) == pytest.approx(expect, abs=tol)
 
 
+@pytest.mark.parametrize("p", [1e-300, 1e-120])
+def test_closed_form_overflow_is_a_domain_error(p):
+    # 1e-300 raised OverflowError from the square, 1e-120 gave inf
+    with pytest.raises(DomainError, match="overflows"):
+        closed_form_bound(p)
+    assert math.isfinite(closed_form_bound(1e-100))
+
+
 # ------------------------------------------------------------ rational function
 
 
@@ -386,3 +394,9 @@ def test_round_half_up():
     assert round_half_up(2.0005) == 2.001
     assert round_half_up(-1.2345) == -1.235
     assert round_half_up(1.0) == 1.0
+
+
+def test_round_half_up_keeps_large_values():
+    # 28 significant digits, the default decimal precision, raised InvalidOperation here
+    for x in (1.2345678901234567e25, 3.4329877709808314e114, 1.7976931348623157e308):
+        assert round_half_up(x) == x

@@ -31,6 +31,15 @@ def test_parse_grid():
                                          (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)]
 
 
+@pytest.mark.parametrize("grid", ["0.5:0.5:1e-300", "0:inf:0.5", "nan:1:0.1", "0:1:inf"])
+def test_runaway_grid_exits_2(grid, capsys):
+    # each of these looped forever, ran out of memory or gave [nan] before the checks
+    code, text = run(["verify", "--family", "mobius", "--grid", grid])
+    err = capsys.readouterr().err
+    assert code == 2 and text == ""
+    assert "bad grid" in err and "Traceback" not in err
+
+
 # --------------------------------------------------------------------- bounds
 
 
@@ -61,6 +70,26 @@ def test_bounds_domain_error_names_range(capsys):
 
 
 # ---------------------------------------------------------------------- table
+
+
+TABLE_TEXT = """\
+     p     lower   angle_min closed_form measure_min
+ 0.999     3.142      73.421     114.485      73.250
+  0.99     3.142      74.994     116.025      73.259
+   0.9     3.150      95.491     134.471      74.211
+   0.8     3.181     135.732     164.134      77.634
+   0.7     3.243     221.806     210.271      84.836
+   0.6     3.351     471.015     287.414      98.455
+   0.5     3.534    1984.429     429.726     124.383
+   0.4     3.848         ---     731.847     178.044
+   0.3     4.424         ---    1528.574     310.576
+   0.2     5.655         ---    4605.972     775.275
+   0.1     9.503         ---   33408.930    4608.759
+"""
+
+
+def test_table_default_text_is_pinned():
+    assert run(["table"]) == (0, TABLE_TEXT)
 
 
 def test_table_default_text():
@@ -179,6 +208,15 @@ def test_harmonic_off_axis_point_has_no_sandwich():
     assert "sandwich_lo" not in json.loads(text)[0]
 
 
+@pytest.mark.parametrize("eps", ["inf", "nan"])
+def test_harmonic_non_finite_eps_exits_2(eps, capsys):
+    # eps=inf absorbed every walk at its start and printed wos_mean=0.0
+    code, text = run(["harmonic", "--z", "0,2", "--a", "1", "--b", "4", "--p", "0.5",
+                      "--wos", "50", "--eps", eps])
+    assert code == 2 and text == ""
+    assert "eps must be positive and finite" in capsys.readouterr().err
+
+
 def test_harmonic_lower_halfplane_exits_2():
     code, _ = run(["harmonic", "--z", "1,-1", "--a", "1", "--b", "4", "--p", "0.5"])
     assert code == 2
@@ -280,5 +318,45 @@ def test_arc_file_fuzz_exits_cleanly(tmp_path, lines, family):
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         code = main(["arc", "--family", family, "--file", str(path)], out=io.StringIO())
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+
+
+_ARG = st.one_of(
+    st.floats(-2.0, 2.0).map(repr),
+    st.sampled_from(["0", "1", "0.5", "0.4142", "1e-300", "5e-324", "1e300", "nan", "inf",
+                     "-inf", "x", ""]),
+)
+_STEP = st.sampled_from(["0.1", "0.25", "0.5", "0", "-0.1", "1e-300", "inf", "nan"])
+_FORMAT = st.sampled_from([[], ["--format", "json"], ["--format", "csv"], ["--format", "xml"]])
+_BOUNDS = st.tuples(_ARG, st.sampled_from(["lb", "angle", "closed", "measure", "limit", "x"])).map(
+    lambda t: ["bounds", "--p", t[0], "--kind", t[1]]
+)
+_TABLE = st.lists(_ARG, max_size=3).map(lambda ps: ["table", "--p", *ps])
+_VERIFY = st.tuples(
+    st.sampled_from(["mobius", "koebe"]),
+    st.one_of(_ARG.map(lambda p: ["--p", p]),
+              st.tuples(_ARG, _ARG, _STEP).map(lambda g: ["--grid", ":".join(g)])),
+    st.one_of(st.just([]), st.sampled_from(["1e-9", "1e-300", "0", "-1", "nan", "inf"])
+              .map(lambda t: ["--tol", t])),
+).map(lambda t: ["verify", "--family", t[0], *t[1], *t[2]])
+_HARMONIC = st.tuples(
+    st.one_of(st.sampled_from(["0,2", "1+1j", "-2,0.5"]), st.tuples(_ARG, _ARG).map(",".join)),
+    st.one_of(st.sampled_from(["0.5", "1"]), _ARG),
+    st.one_of(st.sampled_from(["4", "20"]), _ARG),
+    st.one_of(st.sampled_from(["0.3", "0.5", "0.9"]), _ARG),
+    st.integers(-2, 50).map(str),
+    st.sampled_from(["1e-6", "1e-3", "0.5", "0", "-1", "5e-324", "nan", "inf"]),
+    st.integers(-2, 2**64).map(str),
+).map(lambda t: ["harmonic", "--z", t[0], "--a", t[1], "--b", t[2], "--p", t[3],
+                 "--wos", t[4], "--eps", t[5], "--seed", t[6]])
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=st.one_of(_BOUNDS, _TABLE, _VERIFY, _HARMONIC), fmt=_FORMAT)
+def test_cli_fuzz_exits_cleanly(argv, fmt):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv + fmt, out=io.StringIO())
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()

@@ -12,6 +12,7 @@ from polebounds import (
     ExcludedDisk,
     SegmentQuery,
     UnsupportedDomainError,
+    WosEstimate,
     arccot,
     check_distance_measure_bound,
     hm_halfplane,
@@ -187,6 +188,30 @@ def test_wos_reproducible_for_fixed_seed():
     e3 = wos_harmonic_measure(seed=100, **kw)
     assert e1 == e2
     assert e1.mean != e3.mean
+
+
+def test_wos_point_disk_and_omega1_estimates_are_pinned():
+    # p = 1 runs the Omega1 walk with the excluded disk shrunk to the point -1;
+    # both estimates are the ones the separate half-plane walk gave
+    assert wos_harmonic_measure(0.5 + 1j, -1.0, 2.0, p=1.0, n_walks=2000, seed=11) == (
+        WosEstimate(mean=0.6205, stderr=0.010850800661702343, n_walks=2000, n_used=2000,
+                    n_capped=0)
+    )
+    assert wos_harmonic_measure(2j, 1.0, 4.0, p=0.5, n_walks=2000, seed=5) == WosEstimate(
+        mean=0.1765, stderr=0.008524897360085926, n_walks=2000, n_used=2000, n_capped=0
+    )
+
+
+@pytest.mark.parametrize("eps", [math.inf, math.nan])
+def test_wos_rejects_non_finite_eps(eps):
+    # inf absorbed every walk where it started; nan never absorbed one
+    with pytest.raises(DomainError, match="eps"):
+        wos_harmonic_measure(2j, 1.0, 4.0, p=0.5, n_walks=10, eps=eps)
+
+
+def test_wos_rejects_negative_seed():
+    with pytest.raises(DomainError, match="seed"):
+        wos_harmonic_measure(2j, 1.0, 4.0, p=0.5, n_walks=10, seed=-1)
 
 
 def test_wos_input_validation():
