@@ -114,12 +114,17 @@ def measure_cot_bound(p: float, q: float) -> float:
 
         (q+1)/(q-1) + (1-p^2)^2 (1+q^2) / (2p (q-1) (4p sqrt(q) + (1+q)(1+p^2)))
 
-    Strictly positive; tends to ``(q+1)/(q-1)`` as ``p -> 1``.
+    Strictly positive; tends to ``(q+1)/(q-1)`` as ``p -> 1``. Raises
+    :class:`DomainError` where the double overflows (``q`` above ~1e154).
     """
     p = _check_unit_interval(p, "p")
     if not q > 1.0:
         raise DomainError(f"q must exceed 1, got {q!r}")
-    return float(_measure_cot(p, q))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        value = float(_measure_cot(p, q))
+    if not math.isfinite(value):
+        raise DomainError(f"the cot bound overflows at p={p!r}, q={q!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -149,8 +154,9 @@ def wos_harmonic_measure(
     sees the full half-plane, and any ``a < b`` is allowed (useful for
     validating against :func:`hm_halfplane`). Each step jumps to a uniform
     point on the largest inscribed circle at the current position; a walk is
-    absorbed once within ``eps`` (finite, positive) of the boundary and scores
-    1 when its nearest boundary point lies in ``[a, b]`` on the real axis.
+    absorbed once within ``eps`` of the boundary and scores 1 when its nearest
+    boundary point lies in ``[a, b]`` on the real axis; ``eps`` must be
+    positive and below the start's distance to the boundary.
     Walks exceeding the step cap are discarded and reported in ``n_capped``.
 
     All walks advance in lockstep on a single seeded generator, so a given
@@ -176,38 +182,41 @@ def wos_harmonic_measure(
             raise DomainError("z must lie in Omega1")
         disk = ExcludedDisk.from_pole(p)
         center, radius = disk.center, disk.radius
+    start = min(zz.imag, abs(zz + center) - radius)
+    if not eps < start:
+        raise DomainError(
+            f"eps={eps!r} must be below the start's distance {start!r} to the boundary"
+        )
 
+    # pts holds the live walks only, in their original order, so each draws
+    # the same variates as it would in a walk-indexed array
     rng = np.random.default_rng(seed)
     pts = np.full(n_walks, complex(zz), dtype=np.complex128)
-    active = np.arange(n_walks)
-    hit = np.zeros(n_walks, dtype=bool)
-    capped = 0
+    hits = capped = 0
 
     for _ in range(WOS_STEP_CAP):
-        if active.size == 0:
+        if pts.size == 0:
             break
-        cur = pts[active]
-        dist = np.minimum(cur.imag, np.abs(cur + center) - radius)
+        dist = np.minimum(pts.imag, np.abs(pts + center) - radius)
         absorb = dist < eps
         if absorb.any():
-            done = active[absorb]
-            zdone = pts[done]
+            zdone = pts[absorb]
             nearest_on_axis = zdone.imag <= np.abs(zdone + center) - radius
             x = zdone.real
-            hit[done] = nearest_on_axis & (x >= a) & (x <= b)
+            hits += int(np.count_nonzero(nearest_on_axis & (x >= a) & (x <= b)))
             keep = ~absorb
-            active = active[keep]
+            pts = pts[keep]
             dist = dist[keep]
-        if active.size:
-            theta = rng.uniform(0.0, 2.0 * math.pi, active.size)
-            pts[active] += dist * np.exp(1j * theta)
+        if pts.size:
+            theta = rng.uniform(0.0, 2.0 * math.pi, pts.size)
+            pts += dist * np.exp(1j * theta)
     else:
-        capped = int(active.size)
+        capped = int(pts.size)
 
     n_used = n_walks - capped
     if n_used == 0:
         raise WalkCapError("all walks hit the step cap")
-    mean = float(hit.sum()) / n_used
+    mean = hits / n_used
     stderr = math.sqrt(mean * (1.0 - mean) / n_used)
     return WosEstimate(mean=mean, stderr=stderr, n_walks=n_walks, n_used=n_used, n_capped=capped)
 

@@ -3,18 +3,21 @@
 The length of the image of a parametrized curve ``t -> g(t)`` under a map
 ``f`` is ``integral of |f'(g(t))| |g'(t)| dt``, computed here by adaptive
 Gauss-Kronrod quadrature: on every panel the 15-point Kronrod rule (K15) and
-its embedded 7-point Gauss rule (G7), bisecting the panels whose error is
-above their share of the tolerance. Each round evaluates all active panels of
-a curve in one array call of the integrand; a polyline is one curve whose
-segments start as separate panels. Curves carry an exact distance-to-point
-function so pole proximity can be rejected before any integrand evaluation.
+its embedded 7-point Gauss rule (G7). A panel whose error is above its share
+of the tolerance is replaced by its four equal quarters, two bisection levels
+at once, so a pole's neighbourhood is resolved in half as many rounds. Each
+round evaluates all active panels of a curve in one array call of the
+integrand; a polyline is one curve whose segments start as separate panels.
+Every curve has a piecewise-constant speed ``|g'(t)|``, held as data, and an
+exact distance-to-point function so pole proximity can be rejected before any
+integrand evaluation.
 
 Error contract: a returned ``(length, err)`` has ``err <= tol``, or
 :class:`QuadratureError` is raised. ``err`` sums ``max(|K15 - G7|, floor)``
 over the panels, where the roundoff floor is ``4 eps`` times the panel's
 integral; ``|K15 - G7|`` is the error of the lower-order rule, so it
 overstates the error of the returned K15 value on resolved panels. A panel at
-its floor is accepted, since bisection cannot improve it; if the floors alone
+its floor is accepted, since splitting cannot improve it; if the floors alone
 leave ``err > tol`` (a tolerance below what double precision resolves for
 that length), the quadrature raises.
 
@@ -94,17 +97,33 @@ _RULES = np.stack((_K15, _K15 - _G7), axis=1)
 #: Roundoff floor of a panel's error, relative to the panel's integral.
 _ROUNDOFF_FLOOR = 4.0 * np.finfo(float).eps
 
+#: A failing panel is replaced by this many equal parts; 4 is two bisection
+#: levels at once, so every accepted panel is a dyadic piece of a first panel.
+_SPLIT = 4
+
+#: A panel is one row ``(mid, half, scale)``: the midpoint and half-width of
+#: its parameter interval, and ``half`` times the curve's speed on it. One
+#: matrix product gives the 15 nodes of every panel (``panels @ _TO_NODES``),
+#: and one the rows of its equal parts, side by side (``panels @ _TO_PARTS``);
+#: numpy's broadcasting costs more than either on a few dozen panels.
+_TO_NODES = np.stack((np.ones(15), _NODES, np.zeros(15)))
+_TO_PARTS = np.zeros((3, 3 * _SPLIT))
+_TO_PARTS[0, 0::3] = 1.0
+_TO_PARTS[1, 0::3] = (2.0 * np.arange(_SPLIT) + 1.0) / _SPLIT - 1.0  # the parts' midpoints
+_TO_PARTS[1, 1::3] = _TO_PARTS[2, 2::3] = 1.0 / _SPLIT
+
 
 @dataclass(frozen=True)
 class Curve:
-    """A parametrized path with exact point/velocity/distance evaluations.
+    """A parametrized path ``t -> g(t)`` with exact point and distance evaluations.
 
-    ``point`` and ``velocity`` accept an array of parameters; ``velocity``
-    may return a constant.
+    ``point`` accepts an array of parameters. ``speed`` is ``|g'(t)|``, which
+    is constant for a segment or an arc of the unit circle; a polyline holds
+    one speed per segment ``[k, k + 1]``.
     """
 
     point: Callable[[np.ndarray], np.ndarray]
-    velocity: Callable[[np.ndarray], np.ndarray]
+    speed: float | np.ndarray
     t0: float
     t1: float
     label: str
@@ -131,7 +150,7 @@ def segment_curve(z0: complex, z1: complex, label: str = "segment") -> Curve:
     d = z1 - z0
     return Curve(
         point=lambda t: z0 + t * d,
-        velocity=lambda t: d,
+        speed=abs(d),
         t0=0.0,
         t1=1.0,
         label=label,
@@ -147,17 +166,15 @@ def _polyline_curve(vertices: tuple[complex, ...]) -> Curve:
         raise DomainError("segment endpoints must be distinct")
     last = len(steps) - 1
 
-    def segment(t):
-        # a node of a tiny panel may round onto the end t = len(steps)
-        return np.clip(np.floor(t), 0, last).astype(int)
-
     def point(t):
-        k = segment(t)
+        # t >= 0 truncates to its segment; a node of a tiny panel may round
+        # onto the end t = len(steps)
+        k = np.minimum(t.astype(np.intp), last)
         return verts[k] + (t - k) * steps[k]
 
     return Curve(
         point=point,
-        velocity=lambda t: steps[segment(t)],
+        speed=np.abs(steps),
         t0=0.0,
         t1=float(len(steps)),
         label="polyline",
@@ -169,7 +186,7 @@ def vertical_diameter() -> Curve:
     """The vertical diameter of the unit disk, ``t -> it`` on [-1, 1]."""
     return Curve(
         point=lambda t: 1j * t,
-        velocity=lambda t: 1j,
+        speed=1.0,
         t0=-1.0,
         t1=1.0,
         label="I1",
@@ -191,8 +208,8 @@ def left_half_circle() -> Curve:
         return min(abs(w - 1j), abs(w + 1j))
 
     return Curve(
-        point=lambda t: np.cos(t) + 1j * np.sin(t),
-        velocity=lambda t: 1j * np.cos(t) - np.sin(t),
+        point=lambda t: np.exp(1j * t),
+        speed=1.0,
         t0=math.pi / 2.0,
         t1=3.0 * math.pi / 2.0,
         label="T-",
@@ -250,37 +267,40 @@ FAMILIES: dict[str, Callable[[complex], TestFunction]] = {
 
 
 def _gauss_kronrod(
-    speed: Callable[[np.ndarray], np.ndarray], edges: np.ndarray, tol: float
+    integrand: Callable[[np.ndarray], np.ndarray],
+    edges: np.ndarray,
+    speed: float | np.ndarray,
+    tol: float,
 ) -> tuple[float, float]:
-    """Adaptive G7-K15 integral of a non-negative ``speed`` over ``[edges[0], edges[-1]]``.
+    """Adaptive G7-K15 integral of ``speed * integrand`` over ``[edges[0], edges[-1]]``.
 
-    The consecutive ``edges`` are the first panels. A panel is accepted when
-    ``|K15 - G7|`` is within its share of ``tol`` (proportional to its width)
-    or within its roundoff floor; the others are bisected and evaluated
+    The consecutive ``edges`` are the first panels; ``speed`` is a constant
+    factor, one for all panels or one per first panel, and ``integrand`` is
+    non-negative. A panel is accepted when ``|K15 - G7|`` is within its share
+    of ``tol`` (proportional to its width) or within its roundoff floor; the
+    others are replaced by their :data:`_SPLIT` equal parts, all evaluated
     together in the next round.
     """
-    lo, hi = edges[:-1], edges[1:]
-    share = tol / (edges[-1] - edges[0])
+    half = 0.5 * np.diff(edges)
+    panels = np.stack((edges[:-1] + half, half, half * speed), axis=1)
+    allowed = 2.0 * tol / (edges[-1] - edges[0])  # per unit of half-width
     value = err = 0.0
     evaluated = 0
-    while lo.size:
-        evaluated += lo.size
+    while len(panels):
+        evaluated += len(panels)
         if evaluated > MAX_QUAD_PANELS:
             raise QuadratureError(
                 f"adaptive Gauss-Kronrod did not converge within {MAX_QUAD_PANELS} panels"
             )
-        half = 0.5 * (hi - lo)
-        mid = lo + half
-        sums = speed(mid[:, None] + half[:, None] * _NODES) @ _RULES
-        kronrod = half * sums[:, 0]
-        diff = np.abs(half * sums[:, 1])
-        floor = _ROUNDOFF_FLOOR * kronrod  # speed >= 0, so this is eps * integral of |speed|
-        done = diff <= np.maximum(2.0 * share * half, floor)
+        sums = integrand(panels @ _TO_NODES) @ _RULES
+        sums *= panels[:, 2:]
+        kronrod = sums[:, 0]
+        diff = np.abs(sums[:, 1])
+        floor = _ROUNDOFF_FLOOR * kronrod  # the integrand is >= 0: eps * integral of |.|
+        done = diff <= np.maximum(allowed * panels[:, 1], floor)
         value += kronrod[done].sum()
         err += np.maximum(diff, floor)[done].sum()
-        todo = ~done
-        lo = np.concatenate((lo[todo], mid[todo]))
-        hi = np.concatenate((mid[todo], hi[todo]))
+        panels = (panels[~done] @ _TO_PARTS).reshape(-1, 3)
     if err > tol:
         raise QuadratureError(
             f"quadrature error {err:.3g} exceeds tol {tol:.3g}: roundoff limits this length"
@@ -299,13 +319,12 @@ def _image_length(
             f"curve {curve.label!r} passes within {gap:.3g} of the pole {f.pole}"
         )
 
-    def speed(t: np.ndarray) -> np.ndarray:
-        # a segment's velocity is constant, and so may be a test map's derivative
-        return np.broadcast_to(
-            np.abs(f.derivative(curve.point(t))) * np.abs(curve.velocity(t)), t.shape
-        )
+    def integrand(t: np.ndarray) -> np.ndarray:
+        d = f.derivative(curve.point(t))
+        # a test map's derivative may be a constant
+        return np.abs(d) if np.ndim(d) else np.broadcast_to(abs(d), t.shape)
 
-    return _gauss_kronrod(speed, edges, tol)
+    return _gauss_kronrod(integrand, edges, curve.speed, tol)
 
 
 def image_curve_length(

@@ -217,6 +217,23 @@ def test_harmonic_non_finite_eps_exits_2(eps, capsys):
     assert "eps must be positive and finite" in capsys.readouterr().err
 
 
+def test_harmonic_eps_above_start_distance_exits_2(capsys):
+    # a finite eps this large absorbed every walk at its start: wos_mean=0.0
+    code, text = run(["harmonic", "--z", "0,2", "--a", "1", "--b", "4", "--p", "0.5",
+                      "--wos", "10", "--eps", "1e300"])
+    err = capsys.readouterr().err
+    assert code == 2 and text == ""
+    assert "start's distance" in err and "Traceback" not in err
+
+
+def test_harmonic_overflowing_sandwich_exits_2(capsys):
+    # b/a = 1e308 overflowed the cot bound, which printed sandwich_lo=nan
+    code, text = run(["harmonic", "--z", "0,2", "--a", "1", "--b", "1e308", "--p", "0.5"])
+    err = capsys.readouterr().err
+    assert code == 2 and text == ""
+    assert "overflows" in err and "Warning" not in err and "Traceback" not in err
+
+
 def test_harmonic_lower_halfplane_exits_2():
     code, _ = run(["harmonic", "--z", "1,-1", "--a", "1", "--b", "4", "--p", "0.5"])
     assert code == 2

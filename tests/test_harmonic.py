@@ -156,6 +156,14 @@ def test_cot_bound_domain_errors():
         measure_cot_bound(1.2, 4.0)
 
 
+def test_cot_bound_overflow_raises():
+    # q * q overflows above ~1.3e154, and the bound came out nan
+    assert math.isfinite(measure_cot_bound(0.5, 1e150))
+    for q in (1e155, 1e308):
+        with pytest.raises(DomainError, match="overflows"):
+            measure_cot_bound(0.5, q)
+
+
 # ------------------------------------------------------------- walk on spheres
 
 
@@ -207,6 +215,53 @@ def test_wos_rejects_non_finite_eps(eps):
     # inf absorbed every walk where it started; nan never absorbed one
     with pytest.raises(DomainError, match="eps"):
         wos_harmonic_measure(2j, 1.0, 4.0, p=0.5, n_walks=10, eps=eps)
+
+
+@pytest.mark.parametrize(
+    "z, p, eps", [(2j, 0.5, 1e300), (2j, 0.5, 1.7), (3j, 0.5, 2.5), (0.5 + 1j, 1.0, 1.0)]
+)
+def test_wos_rejects_eps_not_below_start_distance(z, p, eps):
+    # such an eps absorbed every walk where it started, and the mean read 0
+    with pytest.raises(DomainError, match="start's distance"):
+        wos_harmonic_measure(z, 1.0, 4.0, p=p, n_walks=10, eps=eps)
+
+
+def test_wos_accepts_eps_just_below_start_distance():
+    # from 2j the nearest boundary point is on the excluded disk, 1.608 away
+    est = wos_harmonic_measure(2j, 1.0, 4.0, p=0.5, n_walks=10, eps=1.6)
+    assert est.n_used == 10
+
+
+def _walk_indexed_wos(z, a, b, center, radius, n_walks, eps, seed):
+    """The walk loop over a full walk-indexed array, as a reference."""
+    rng = np.random.default_rng(seed)
+    pts = np.full(n_walks, complex(z), dtype=np.complex128)
+    active = np.arange(n_walks)
+    hit = np.zeros(n_walks, dtype=bool)
+    while active.size:
+        cur = pts[active]
+        dist = np.minimum(cur.imag, np.abs(cur + center) - radius)
+        absorb = dist < eps
+        done = active[absorb]
+        x = pts[done].real
+        hit[done] = (pts[done].imag <= np.abs(pts[done] + center) - radius) & (x >= a) & (x <= b)
+        active, dist = active[~absorb], dist[~absorb]
+        if active.size:
+            pts[active] += dist * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, active.size))
+    return int(hit.sum())
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_wos_matches_walk_indexed_reference(seed):
+    rng = np.random.default_rng(seed)
+    p = float(rng.uniform(0.1, 0.95))
+    z = rand_omega1_point(p, rng)
+    a = math.exp(rng.uniform(-1.0, 1.0))
+    b = a * math.exp(rng.uniform(0.3, 3.0))
+    disk = ExcludedDisk.from_pole(p)
+    est = wos_harmonic_measure(z, a, b, p, n_walks=400, seed=seed)
+    hits = _walk_indexed_wos(z, a, b, disk.center, disk.radius, 400, 1e-6, seed)
+    assert est.n_capped == 0 and est.mean == hits / 400
 
 
 def test_wos_rejects_negative_seed():

@@ -5,6 +5,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from polebounds import (
     DomainError,
@@ -143,6 +145,51 @@ def test_constant_speed_polyline_is_one_array_call():
     assert err <= 1e-9
 
 
+def _counting(f):
+    calls = []
+
+    def derivative(z):
+        calls.append(np.shape(z))
+        return f.derivative(z)
+
+    return TestFunction(id=f.id, evaluate=f.evaluate, derivative=derivative, pole=f.pole), calls
+
+
+@pytest.mark.parametrize("p, tol, rounds", [(0.05, 1e-9, 4), (0.02, 1e-12, 6)])
+def test_pole_depth_is_reached_in_few_rounds(p, tol, rounds):
+    # a failing panel is replaced by its quarters, two bisection levels per
+    # round (bisection took 7 and 10 rounds)
+    f, calls = _counting(mobius_family(p))
+    value, err = image_curve_length(f, vertical_diameter(), tol)
+    assert len(calls) <= rounds
+    exact = arc_length_through(f.evaluate(-1j), f.evaluate(0.0), f.evaluate(1j))
+    assert value == pytest.approx(exact, rel=1e-12) and err <= tol
+
+
+@st.composite
+def polyline_and_pole(draw):
+    n = draw(st.integers(2, 8))
+    unit = st.floats(-0.65, 0.65)
+    xs = sorted(set(draw(st.lists(unit, min_size=n, max_size=n))))
+    assume(len(xs) >= 2)
+    verts = tuple(complex(x, draw(unit)) for x in xs)  # x-monotone, so simple
+    r = draw(st.floats(0.05, 0.95))
+    pole = complex(r * np.exp(1j * draw(st.floats(0.0, 2.0 * math.pi))))
+    assume(lengths._polyline_distance(verts, pole) > 0.02)
+    return verts, pole, draw(st.sampled_from([mobius_family, koebe_family]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(polyline_and_pole(), st.sampled_from([1e-9, 1e-12]))
+def test_polyline_length_equals_sum_of_segment_lengths(case, tol):
+    verts, pole, family = case
+    f = family(pole)
+    total, err = polyline_image_length(f, verts, tol)
+    parts = [image_curve_length(f, segment_curve(a, b), tol) for a, b in zip(verts, verts[1:])]
+    assert abs(total - sum(v for v, _ in parts)) <= err + sum(e for _, e in parts)
+    assert err <= tol
+
+
 def test_polyline_rejects_repeated_vertex():
     with pytest.raises(DomainError):
         polyline_image_length(IDENTITY, (0.1j, 0.2 + 0.1j, 0.2 + 0.1j, 0.5j))
@@ -167,7 +214,7 @@ def test_kronrod_rule_has_degree_22_and_gauss_rule_degree_13():
 def exact_lengths(f, p):
     """Closed-form lengths of ``f(I1)`` and ``f(T-)`` for the built-in families."""
     if f.id == "koebe":
-        return math.pi * p / (1 + p * p), 2 * p / (1 + p * p) - 2 * p / (1 + p) ** 2
+        return math.pi * p / (1 + p * p), 4 * p * p / ((1 + p * p) * (1 + p) ** 2)
     ev = f.evaluate
     return (
         arc_length_through(ev(-1j), ev(0.0), ev(1j)),
