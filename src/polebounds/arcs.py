@@ -46,11 +46,8 @@ from .lengths import (
     DEFAULT_LENGTH_TOL,
     TestFunction,
     _conservative_verdict,
-    _polyline_distance,
-    _segment_distance,
-    image_curve_length,
+    _segment_feet,
     polyline_image_length,
-    segment_curve,
 )
 
 #: Default numeric stand-in for the analytic-case constant.
@@ -153,7 +150,8 @@ class PolylineArc:
         return PolylineArc(tuple(-v.conjugate() for v in self.vertices))
 
     def distance_to(self, w: complex) -> float:
-        return _polyline_distance(self.vertices, w)
+        verts = np.array(self.vertices)
+        return float(_segment_feet(verts[:-1], verts[1:] - verts[:-1], w)[1].min())
 
 
 def enclosed_axis_segment(arc: PolylineArc) -> tuple[float, float]:
@@ -252,7 +250,7 @@ def arc_constant(
 
     if arc.distance_to(ss) <= _ON_CURVE_TOL:
         raise HypothesisViolationError("pole lies on the arc")
-    if _segment_distance(1j * y_lo, 1j * y_hi, ss) <= _ON_CURVE_TOL:
+    if _segment_feet(1j * y_lo, 1j * (y_hi - y_lo), ss)[1] <= _ON_CURVE_TOL:
         raise HypothesisViolationError("pole lies on the enclosed axis segment")
     # Implicit closure of the loop is the axis chord joining the endpoints; the
     # overhang of the axis segment beyond them is a degenerate slit and was
@@ -300,15 +298,15 @@ def verify_arc_inequality(
     """Check ``len(f(gamma)) <= constant * len(f(J))`` for the pole of ``f``.
 
     ``gamma`` is the vertical segment joining the arc endpoints (their
-    hyperbolic geodesic once both lie on the vertical diameter). The check
-    passes only if it holds for the worst lengths within their quadrature
-    errors; ``ratio`` is the plain quotient of the two lengths.
+    hyperbolic geodesic once both lie on the vertical diameter), integrated
+    with ``J`` as one panel set. The check passes only if it holds for the
+    worst lengths within their quadrature errors; ``ratio`` is the plain
+    quotient of the two lengths.
     """
     sel = arc_constant(complex(f.pole), arc, analytic_constant)
     z1, z2 = arc.endpoints
-    geod = segment_curve(complex(0.0, z1.imag), complex(0.0, z2.imag), label="geodesic")
-    lg, eg = image_curve_length(f, geod, tol)
-    la, ea = polyline_image_length(f, arc.vertices, tol)
+    geodesic = (complex(0.0, z1.imag), complex(0.0, z2.imag))
+    (lg, eg), (la, ea) = polyline_image_length(f, (geodesic, arc.vertices), tol)
     return ArcReport(
         function_id=f.id,
         branch=sel.branch,

@@ -26,6 +26,7 @@ unimodality in ``q`` is not assumed, which is why the global scan comes first.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Context, Decimal
@@ -95,16 +96,23 @@ def _measure_from_cot(p, q, cot):
 
 
 def _checked_measure(p: float, q: float, where: str) -> float:
-    """The measure bound at a checked ``p``, warning when ``cot^2`` is ill-conditioned."""
+    """The measure bound at a checked ``p``, warning when ``cot^2`` is ill-conditioned.
+
+    The warning names the first caller outside this module, through
+    :func:`measure_bound` or the objective of :func:`minimize_over_q` alike.
+    """
     if not q > 1.0:
         raise DomainError(f"q must exceed 1, got {q!r}")
     x = _measure_cot(p, q)
     if x > CONDITION_WARN_THRESHOLD:
+        frame, stacklevel = sys._getframe(), 1
+        while frame.f_back is not None and frame.f_code.co_filename == __file__:
+            frame, stacklevel = frame.f_back, stacklevel + 1
         warnings.warn(
             f"{where}: arccot argument {x:.3g} exceeds {CONDITION_WARN_THRESHOLD:.0e}; "
             "cot^2 evaluation is badly conditioned",
             NumericalConditionWarning,
-            stacklevel=3,
+            stacklevel=stacklevel,
         )
     return float(_measure_from_cot(p, q, x))
 

@@ -128,12 +128,17 @@ def cmd_table(args, out) -> int:
     if args.format != "text":
         emit(records, args.format, out)
         return EXIT_OK
-    widths = (6, 10, 12, 12, 12)
-    out.write("".join(h.rjust(w) for h, w in zip(records[0], widths)) + "\n")
+    lines = [list(records[0])]
     for rec in records:
         p, *values = rec.values()
-        cells = (f"{p:g}", *("---" if v is None else f"{v:.3f}" for v in values))
-        out.write("".join(c.rjust(w) for c, w in zip(cells, widths)) + "\n")
+        lines.append([f"{p:g}", *("---" if v is None else f"{v:.3f}" for v in values)])
+    # a column widens past its default so that one space precedes its widest cell
+    widths = [
+        max(w, max(len(line[j]) for line in lines) + (j > 0))
+        for j, w in enumerate((6, 10, 12, 12, 12))
+    ]
+    for line in lines:
+        out.write("".join(c.rjust(w) for c, w in zip(line, widths)) + "\n")
     return EXIT_OK
 
 

@@ -3,13 +3,29 @@
 The length of the image of a parametrized curve ``t -> g(t)`` under a map
 ``f`` is ``integral of |f'(g(t))| |g'(t)| dt``, computed here by adaptive
 Gauss-Kronrod quadrature: on every panel the 15-point Kronrod rule (K15) and
-its embedded 7-point Gauss rule (G7). A panel whose error is above its share
-of the tolerance is replaced by its four equal quarters, two bisection levels
-at once, so a pole's neighbourhood is resolved in half as many rounds. Each
-round evaluates all active panels of a curve in one array call of the
-integrand; a polyline is one curve whose segments start as separate panels.
+its embedded 7-point Gauss rule (G7).
+
+The pole of ``f`` is known before the quadrature starts, so the first panels
+are placed for it: every piece of a curve (a polyline segment, a half of
+``T-``) is graded geometrically toward its point nearest the pole, each
+panel at most :data:`_GRADE` times as wide as its distance to the pole (the
+Bernstein-ellipse rate of a panel, Trefethen, *Approximation Theory and
+Approximation Practice*, ch. 19; the geometric mesh of Babuska-Guo hp
+grading). A piece far from the pole stays one panel. ``T-`` keeps an edge at
+``z = -1``, where the Koebe-type derivative vanishes and ``|f'|`` has a kink.
+The graded edges are snapped to a dyadic grid, so every panel's midpoint and
+half-width, and those of its first quarters, are exact and the panels tile
+their curve without gaps or overlaps; each polyline segment has its own
+parameter interval [0, 1], so nodes near a pole stay as precise as their
+panel is narrow. Most lengths are then resolved in the first round; a panel
+whose error is still above its share of the tolerance is replaced by its
+four equal quarters.
+
+The curves of one check (``I1`` with ``T-``, a geodesic with its polyline)
+are one panel set: each round evaluates all active panels of all curves in
+one array call of the integrand, and ``(length, err)`` comes back per curve.
 Every curve has a piecewise-constant speed ``|g'(t)|``, held as data, and an
-exact distance-to-point function so pole proximity can be rejected before any
+exact nearest-point function, which also rejects pole proximity before any
 integrand evaluation.
 
 Error contract: a returned ``(length, err)`` has ``err <= tol``, or
@@ -34,8 +50,10 @@ at ``p``:
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable
 
 import numpy as np
@@ -98,123 +116,173 @@ _RULES = np.stack((_K15, _K15 - _G7), axis=1)
 _ROUNDOFF_FLOOR = 4.0 * np.finfo(float).eps
 
 #: A failing panel is replaced by this many equal parts; 4 is two bisection
-#: levels at once, so every accepted panel is a dyadic piece of a first panel.
+#: levels at once.
 _SPLIT = 4
 
-#: A panel is one row ``(mid, half, scale)``: the midpoint and half-width of
-#: its parameter interval, and ``half`` times the curve's speed on it. One
-#: matrix product gives the 15 nodes of every panel (``panels @ _TO_NODES``),
-#: and one the rows of its equal parts, side by side (``panels @ _TO_PARTS``);
-#: numpy's broadcasting costs more than either on a few dozen panels.
-_TO_NODES = np.stack((np.ones(15), _NODES, np.zeros(15)))
-_TO_PARTS = np.zeros((3, 3 * _SPLIT))
-_TO_PARTS[0, 0::3] = 1.0
-_TO_PARTS[1, 0::3] = (2.0 * np.arange(_SPLIT) + 1.0) / _SPLIT - 1.0  # the parts' midpoints
-_TO_PARTS[1, 1::3] = _TO_PARTS[2, 2::3] = 1.0 / _SPLIT
+#: First panels: each half-width is at most ``_GRADE`` times the distance
+#: from the panel's midpoint to the pole, so a Bernstein ellipse of parameter
+#: ~8 around every panel avoids the pole. From a piece's point nearest the
+#: pole (its foot, an edge when interior) the first edges lie ``_FIRST *
+#: distance / speed`` away, and each further edge ``_RATIO`` times as far.
+_GRADE = 0.25
+_FIRST = 2.0 * _GRADE / math.sqrt(1.0 - _GRADE * _GRADE)
+_RATIO = (1.0 + _GRADE) / (1.0 - _GRADE)
+
+#: Edge offsets from a foot, in units of its first edge, ``-R^k .. -1, 0, 1 ..
+#: R^k``, sliced to the ``k`` a panel set needs; past ``R^_GRADES`` the
+#: adaptive loop refines what grading left coarse.
+_GRADES = 64
+_POWERS = _RATIO ** np.arange(_GRADES + 1)
+_OFFSETS = np.concatenate((-_POWERS[::-1], [0.0], _POWERS))
+
+#: Graded edges are snapped to multiples of ``1/_GRID`` above their piece's
+#: start. On pieces within [-1, 1] (all but the halves of ``T-``), panel
+#: midpoints and half-widths are then exact for six levels of quarters, so
+#: the panels tile their curve.
+_GRID = 2.0**40
+
+#: A panel is one row ``(mid, half, scale, share, piece)``: the midpoint and
+#: half-width of its parameter interval, ``half`` times the curve's speed on
+#: it, its share of its length's tolerance (proportional to its width), and
+#: the index of its piece in its curve. Rows are grouped by length, in order.
+#: One matrix product gives the 15 nodes of every panel (``panels @
+#: _TO_NODES``), and one the rows of its equal parts, side by side and in
+#: place (``panels @ _TO_PARTS``); numpy's broadcasting costs more than either
+#: on a few dozen panels.
+_COLUMNS = 5
+_TO_NODES = np.zeros((_COLUMNS, 15))
+_TO_NODES[0] = 1.0
+_TO_NODES[1] = _NODES
+_TO_PARTS = np.zeros((_COLUMNS, _COLUMNS * _SPLIT))
+_TO_PARTS[0, 0::_COLUMNS] = 1.0
+_TO_PARTS[1, 0::_COLUMNS] = (2.0 * np.arange(_SPLIT) + 1.0) / _SPLIT - 1.0  # the parts' midpoints
+for _col in (1, 2, 3):
+    _TO_PARTS[_col, _col::_COLUMNS] = 1.0 / _SPLIT
+_TO_PARTS[4, 4::_COLUMNS] = 1.0
+
+#: Rows of ``Curve.pieces``.
+_START, _END, _SPEED, _LENGTH, _SHARE = range(5)
 
 
 @dataclass(frozen=True)
 class Curve:
-    """A parametrized path ``t -> g(t)`` with exact point and distance evaluations.
+    """A parametrized path ``t -> g(t)`` in pieces, with exact nearest points.
 
-    ``point`` accepts an array of parameters. ``speed`` is ``|g'(t)|``, which
-    is constant for a segment or an arc of the unit circle; a polyline holds
-    one speed per segment ``[k, k + 1]``.
+    ``point(t, piece)`` evaluates an array of parameters, each row of ``t``
+    inside the piece of that index. ``pieces`` has one column per piece and
+    five rows: its start and end parameter, its constant speed ``|g'(t)|``,
+    the index of the length it adds to (0 unless the curve joins several
+    paths, like the polylines of one check), and ``2 / r`` for the parameter
+    range ``r`` of that length. ``nearest(w)`` returns, per piece, the
+    parameter of the piece's point nearest ``w`` and the distance between
+    the two.
     """
 
-    point: Callable[[np.ndarray], np.ndarray]
-    speed: float | np.ndarray
-    t0: float
-    t1: float
+    point: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    pieces: np.ndarray
     label: str
-    distance_to: Callable[[complex], float]
+    nearest: Callable[[complex], tuple]
 
 
-def _segment_distance(z0: complex, z1: complex, w: complex) -> float:
-    d = z1 - z0
-    denom = abs(d) ** 2
-    if denom == 0.0:
-        return abs(w - z0)
-    t = max(0.0, min(1.0, ((w - z0) * d.conjugate()).real / denom))
-    return abs(w - (z0 + t * d))
+def _segment_feet(a, d, w):
+    """Per segment ``a + s d``, ``s`` in [0, 1]: the ``s`` nearest to ``w``, and the distance.
 
-
-def _polyline_distance(vertices: tuple[complex, ...], w: complex) -> float:
-    return min(_segment_distance(z0, z1, w) for z0, z1 in zip(vertices, vertices[1:]))
+    ``a`` and ``d`` may be arrays, one entry per segment; a zero ``d`` is the
+    point ``a``.
+    """
+    dc = d.conjugate()
+    norm = (d * dc).real
+    s = np.minimum(np.maximum(((w - a) * dc).real / (norm + (norm == 0.0)), 0.0), 1.0)
+    return s, abs(w - (a + s * d))
 
 
 def segment_curve(z0: complex, z1: complex, label: str = "segment") -> Curve:
     """The straight segment from ``z0`` to ``z1`` on ``t`` in [0, 1]."""
     if z0 == z1:
         raise DomainError("segment endpoints must be distinct")
-    d = z1 - z0
+    d = complex(z1) - complex(z0)
+
+    def nearest(w):
+        s, dist = _segment_feet(z0, d, w)
+        return (s,), (dist,)
+
     return Curve(
-        point=lambda t: z0 + t * d,
-        speed=abs(d),
-        t0=0.0,
-        t1=1.0,
+        point=lambda t, piece: z0 + t * d,
+        pieces=np.array([[0.0], [1.0], [abs(d)], [0.0], [2.0]]),
         label=label,
-        distance_to=lambda w: _segment_distance(z0, z1, w),
+        nearest=nearest,
     )
 
 
-def _polyline_curve(vertices: tuple[complex, ...]) -> Curve:
-    """The polyline through ``vertices``, segment ``k`` on ``t`` in [k, k + 1]."""
-    verts = np.array(vertices, dtype=complex)
-    steps = np.diff(verts)
+def _polyline_curve(polylines) -> Curve:
+    """Polylines joined into one curve: their segments in order, each on ``t`` in [0, 1].
+
+    Polyline ``i`` is length ``i``; no segment joins one polyline to the
+    next. A parameter local to its segment keeps the nodes of a panel near a
+    pole as precise as the panel is narrow.
+    """
+    verts = [np.array(v, dtype=complex) for v in polylines]
+    if min(len(v) for v in verts) < 2:
+        raise DomainError("a polyline needs at least two vertices")
+    starts = np.concatenate([v[:-1] for v in verts])
+    steps = np.concatenate([v[1:] - v[:-1] for v in verts])
     if not steps.all():
         raise DomainError("segment endpoints must be distinct")
-    last = len(steps) - 1
-
-    def point(t):
-        # t >= 0 truncates to its segment; a node of a tiny panel may round
-        # onto the end t = len(steps)
-        k = np.minimum(t.astype(np.intp), last)
-        return verts[k] + (t - k) * steps[k]
-
+    pieces = np.empty((5, len(steps)))
+    pieces[_START] = 0.0
+    pieces[_END] = 1.0
+    np.abs(steps, out=pieces[_SPEED])
+    first = 0
+    for i, v in enumerate(verts):
+        last = first + len(v) - 1
+        pieces[_LENGTH, first:last] = i
+        pieces[_SHARE, first:last] = 2.0 / (last - first)
+        first = last
     return Curve(
-        point=point,
-        speed=np.abs(steps),
-        t0=0.0,
-        t1=float(len(steps)),
+        point=lambda t, piece: starts[piece, None] + t * steps[piece, None],
+        pieces=pieces,
         label="polyline",
-        distance_to=lambda w: _polyline_distance(vertices, w),
+        nearest=lambda w: _segment_feet(starts, steps, w),
     )
+
+
+_I1 = segment_curve(-1j, 1j, label="I1")
 
 
 def vertical_diameter() -> Curve:
-    """The vertical diameter of the unit disk, ``t -> it`` on [-1, 1]."""
-    return Curve(
-        point=lambda t: 1j * t,
-        speed=1.0,
-        t0=-1.0,
-        t1=1.0,
-        label="I1",
-        distance_to=lambda w: _segment_distance(-1j, 1j, w),
-    )
+    """The vertical diameter of the unit disk, from ``-i`` to ``i`` on ``t`` in [0, 1]."""
+    return _I1
+
+
+#: ``T-`` in two pieces, split at ``z = -1``.
+_T_LO, _T_MID, _T_HI = math.pi / 2.0, math.pi, 3.0 * math.pi / 2.0
+
+
+def _t_minus_nearest(w: complex) -> tuple:
+    # |e^{it} - w| grows with the angle between e^{it} and w, so arg w clamped
+    # to a piece is its nearest point (an endpoint when Re w >= 0), except on a
+    # piece in the quadrant opposite w: that piece is at least 1 away.
+    theta = math.atan2(w.imag, w.real) % (2.0 * math.pi)
+    t = (min(max(theta, _T_LO), _T_MID), min(max(theta, _T_MID), _T_HI))
+    return t, (abs(cmath.exp(1j * t[0]) - w), abs(cmath.exp(1j * t[1]) - w))
+
+
+_T_MINUS = Curve(
+    point=lambda t, piece: np.exp(1j * t),
+    pieces=np.array(
+        [[_T_LO, _T_MID], [_T_MID, _T_HI], [1.0, 1.0], [0.0, 0.0], [2.0 / math.pi] * 2]
+    ),
+    label="T-",
+    nearest=_t_minus_nearest,
+)
 
 
 def left_half_circle() -> Curve:
-    """The left half of the unit circle, ``theta -> e^{i theta}`` on [pi/2, 3pi/2]."""
+    """The left half of the unit circle, ``theta -> e^{i theta}`` on [pi/2, 3pi/2].
 
-    def dist(w: complex) -> float:
-        r = abs(w)
-        if r == 0.0:
-            return 1.0
-        theta = math.atan2(w.imag, w.real)
-        if abs(theta) > math.pi / 2.0:
-            return abs(r - 1.0)
-        # Nearest arc point is one of the endpoints +-i.
-        return min(abs(w - 1j), abs(w + 1j))
-
-    return Curve(
-        point=lambda t: np.exp(1j * t),
-        speed=1.0,
-        t0=math.pi / 2.0,
-        t1=3.0 * math.pi / 2.0,
-        label="T-",
-        distance_to=dist,
-    )
+    Its two pieces meet at ``z = -1``.
+    """
+    return _T_MINUS
 
 
 @dataclass(frozen=True)
@@ -266,86 +334,153 @@ FAMILIES: dict[str, Callable[[complex], TestFunction]] = {
 }
 
 
-def _gauss_kronrod(
-    integrand: Callable[[np.ndarray], np.ndarray],
-    edges: np.ndarray,
-    speed: float | np.ndarray,
-    tol: float,
-) -> tuple[float, float]:
-    """Adaptive G7-K15 integral of ``speed * integrand`` over ``[edges[0], edges[-1]]``.
+def _first_panels(curves: tuple[Curve, ...], pole: complex, tol: float):
+    """The first panel rows of ``curves``, each piece graded toward ``pole``.
 
-    The consecutive ``edges`` are the first panels; ``speed`` is a constant
-    factor, one for all panels or one per first panel, and ``integrand`` is
-    non-negative. A panel is accepted when ``|K15 - G7|`` is within its share
-    of ``tol`` (proportional to its width) or within its roundoff floor; the
-    others are replaced by their :data:`_SPLIT` equal parts, all evaluated
-    together in the next round.
+    Returns the rows, grouped by length in order, and the number of rows of
+    each length.
     """
-    half = 0.5 * np.diff(edges)
-    panels = np.stack((edges[:-1] + half, half, half * speed), axis=1)
-    allowed = 2.0 * tol / (edges[-1] - edges[0])  # per unit of half-width
-    value = err = 0.0
-    evaluated = 0
+    # per piece of every curve: the rows of Curve.pieces, foot, distance, index
+    table = np.empty((8, sum(c.pieces.shape[1] for c in curves)))
+    start = lengths = 0
+    for curve in curves:
+        stop = start + curve.pieces.shape[1]
+        table[:5, start:stop] = curve.pieces
+        table[_LENGTH, start:stop] += lengths
+        table[5:7, start:stop] = curve.nearest(pole)
+        table[7, start:stop] = np.arange(stop - start)
+        gap = table[6, start:stop].min()
+        if not gap >= POLE_GUARD_DISTANCE:
+            raise PoleProximityError(
+                f"curve {curve.label!r} passes within {gap:.3g} of the pole {pole}"
+            )
+        lengths = int(table[_LENGTH, stop - 1]) + 1
+        start = stop
+    lo, hi, speed, length, share, foot, dist, piece = table
+    span = hi - lo
+    first = np.minimum(dist * _FIRST / speed, span)
+    reach = span / first  # 1 for a piece within its first edge: it stays one panel
+    n = min(math.ceil(math.log(reach.max()) / math.log(_RATIO)), _GRADES)
+    np.copyto(foot, lo, where=reach <= 1.0)
+    foot -= lo
+    lo, hi = lo[:, None], hi[:, None]
+    edges = first[:, None] * _OFFSETS[_GRADES - n : _GRADES + n + 3]
+    edges += foot[:, None]
+    edges *= _GRID
+    np.rint(edges, out=edges)
+    edges /= _GRID
+    edges += lo
+    np.minimum(np.maximum(edges, lo, out=edges), hi, out=edges)
+    half = edges[:, 1:] - edges[:, :-1]
+    half *= 0.5
+    rows = np.empty(half.shape + (_COLUMNS,))
+    np.add(edges[:, :-1], half, out=rows[..., 0])
+    rows[..., 1] = half
+    np.multiply(half, speed[:, None], out=rows[..., 2])
+    np.multiply(half, share[:, None], out=rows[..., 3])
+    rows[..., 3] *= tol  # after the share, which is at most 1: no overflow
+    rows[..., 4] = piece[:, None]
+    keep = half > 0.0  # clipped and coinciding edges leave empty panels
+    counts = np.bincount(length.astype(np.intp), keep.sum(axis=1), lengths)
+    return rows[keep], counts.astype(np.intp).tolist()
+
+
+def _gauss_kronrod(
+    derivative: Callable[[np.ndarray], np.ndarray],
+    curves: tuple[Curve, ...],
+    panels: np.ndarray,
+    counts: list[int],
+    tol: float,
+) -> list[tuple[float, float]]:
+    """Adaptive G7-K15 lengths ``integral of |derivative(point(t))| speed dt``.
+
+    ``panels`` are the first panel rows of ``curves``, ``counts[i]`` of them
+    for length ``i``. Each round evaluates the nodes of every active panel in
+    one call of ``derivative``. A panel is accepted when ``|K15 - G7|`` is
+    within its share of ``tol`` or within its roundoff floor; the others are
+    replaced in place by their :data:`_SPLIT` equal parts, all evaluated
+    together in the next round. Returns ``(length, err)`` per length.
+    """
+    owned = [int(c.pieces[_LENGTH, -1]) + 1 for c in curves]  # lengths per curve
+    values, errors, evaluated = [0.0] * len(counts), [0.0] * len(counts), [0] * len(counts)
     while len(panels):
-        evaluated += len(panels)
-        if evaluated > MAX_QUAD_PANELS:
+        evaluated = [e + c for e, c in zip(evaluated, counts)]
+        if max(evaluated) > MAX_QUAD_PANELS:
             raise QuadratureError(
                 f"adaptive Gauss-Kronrod did not converge within {MAX_QUAD_PANELS} panels"
             )
-        sums = integrand(panels @ _TO_NODES) @ _RULES
-        sums *= panels[:, 2:]
-        kronrod = sums[:, 0]
-        diff = np.abs(sums[:, 1])
-        floor = _ROUNDOFF_FLOOR * kronrod  # the integrand is >= 0: eps * integral of |.|
-        done = diff <= np.maximum(allowed * panels[:, 1], floor)
-        value += kronrod[done].sum()
-        err += np.maximum(diff, floor)[done].sum()
-        panels = (panels[~done] @ _TO_PARTS).reshape(-1, 3)
-    if err > tol:
-        raise QuadratureError(
-            f"quadrature error {err:.3g} exceeds tol {tol:.3g}: roundoff limits this length"
-        )
-    return float(value), float(err)
-
-
-def _image_length(
-    f: TestFunction, curve: Curve, edges: np.ndarray, tol: float
-) -> tuple[float, float]:
-    if tol <= 0.0:
-        raise DomainError("tol must be positive")
-    gap = curve.distance_to(complex(f.pole))
-    if gap < POLE_GUARD_DISTANCE:
-        raise PoleProximityError(
-            f"curve {curve.label!r} passes within {gap:.3g} of the pole {f.pole}"
-        )
-
-    def integrand(t: np.ndarray) -> np.ndarray:
-        d = f.derivative(curve.point(t))
+        nodes = panels @ _TO_NODES
+        piece = panels[:, 4].astype(np.intp)
+        parts, start, first = [], 0, 0
+        for curve, m in zip(curves, owned):
+            stop = start + sum(counts[first : first + m])
+            if stop > start:
+                parts.append(curve.point(nodes[start:stop], piece[start:stop]))
+            start, first = stop, first + m
+        z = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        d = derivative(z)
         # a test map's derivative may be a constant
-        return np.abs(d) if np.ndim(d) else np.broadcast_to(abs(d), t.shape)
+        g = np.abs(d) if np.ndim(d) else np.full(z.shape, abs(d))
+        sums = g @ _RULES
+        sums *= panels[:, 2:3]
+        # the integrand is >= 0: eps * integral of |.|
+        floor = _ROUNDOFF_FLOOR * sums[:, 0]
+        np.maximum(np.abs(sums[:, 1]), floor, out=sums[:, 1])
+        done = sums[:, 1] <= np.maximum(panels[:, 3], floor)
+        # per length with panels this round: accepted value and error, panels split
+        live = [i for i, c in enumerate(counts) if c]
+        offsets = list(accumulate([counts[i] for i in live[:-1]], initial=0))
+        sums *= done[:, None]
+        split = ~done
+        accepted = np.add.reduceat(sums, offsets).tolist()
+        for i, (value, err), c in zip(
+            live, accepted, np.add.reduceat(split, offsets, dtype=np.intp).tolist()
+        ):
+            values[i] += value
+            errors[i] += err
+            counts[i] = _SPLIT * c
+        panels = (panels[split] @ _TO_PARTS).reshape(-1, _COLUMNS)
+    for err in errors:
+        if err > tol:
+            raise QuadratureError(
+                f"quadrature error {err:.3g} exceeds tol {tol:.3g}: roundoff limits this length"
+            )
+    return list(zip(values, errors))
 
-    return _gauss_kronrod(integrand, edges, curve.speed, tol)
+
+def _image_lengths(
+    f: TestFunction, curves: tuple[Curve, ...], tol: float
+) -> list[tuple[float, float]]:
+    if not 0.0 < tol < math.inf:
+        raise DomainError("tol must be positive and finite")
+    panels, counts = _first_panels(curves, complex(f.pole), tol)
+    return _gauss_kronrod(f.derivative, curves, panels, counts, tol)
 
 
-def image_curve_length(
-    f: TestFunction, curve: Curve, tol: float = DEFAULT_LENGTH_TOL
-) -> tuple[float, float]:
+def image_curve_length(f: TestFunction, curve, tol: float = DEFAULT_LENGTH_TOL):
     """Length of ``f(curve)`` with an absolute error estimate ``err <= tol``.
 
+    ``curve`` may also be a sequence of curves: they are integrated as one
+    panel set, and a list with one ``(length, err)`` per curve comes back.
     Rejects curves that approach the pole of ``f`` closer than
     :data:`POLE_GUARD_DISTANCE`; raises :class:`QuadratureError` when the
     quadrature cannot reach ``tol``.
     """
-    return _image_length(f, curve, np.array([curve.t0, curve.t1]), tol)
+    if isinstance(curve, Curve):
+        return _image_lengths(f, (curve,), tol)[0]
+    return _image_lengths(f, tuple(curve), tol)
 
 
-def polyline_image_length(
-    f: TestFunction, vertices: tuple[complex, ...], tol: float = DEFAULT_LENGTH_TOL
-) -> tuple[float, float]:
-    """Image length of a polyline, all segments in one quadrature, ``err <= tol``."""
-    if len(vertices) < 2:
-        raise DomainError("a polyline needs at least two vertices")
-    return _image_length(f, _polyline_curve(vertices), np.arange(float(len(vertices))), tol)
+def polyline_image_length(f: TestFunction, vertices, tol: float = DEFAULT_LENGTH_TOL):
+    """Image length of a polyline, all segments in one quadrature, ``err <= tol``.
+
+    ``vertices`` may also be a sequence of polylines: they are integrated as
+    one panel set, and a list with one ``(length, err)`` per polyline comes
+    back.
+    """
+    if len(vertices) and np.ndim(vertices[0]):
+        return _image_lengths(f, (_polyline_curve(vertices),), tol)
+    return _image_lengths(f, (_polyline_curve((vertices,)),), tol)[0]
 
 
 def _conservative_verdict(
@@ -379,15 +514,14 @@ def verify_inequality(f: TestFunction, p: float, tol: float = DEFAULT_LENGTH_TOL
     """Check ``len(f(I1)) <= bound * len(f(T-))`` for a built-in test map.
 
     The bound is the minimized measure bound at ``p``. Both lengths come from
-    adaptive quadrature at tolerance ``tol``; the check passes only if it
+    one adaptive quadrature of the two curves at tolerance ``tol`` each; the check passes only if it
     holds for the worst lengths within their error estimates. ``ratio`` is
     the plain quotient of the two lengths.
     """
     p = _check_unit_interval(p, "p")
     if complex(f.pole) != complex(p, 0.0):
         raise DomainError(f"test function pole {f.pole} does not match p={p}")
-    li1, e1 = image_curve_length(f, vertical_diameter(), tol)
-    ltm, e2 = image_curve_length(f, left_half_circle(), tol)
+    (li1, e1), (ltm, e2) = image_curve_length(f, (vertical_diameter(), left_half_circle()), tol)
     bound = minimize_over_q(p, "measure")
     return RatioReport(
         function_id=f.id,

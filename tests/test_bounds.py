@@ -79,6 +79,16 @@ def test_measure_bound_warns_when_ill_conditioned():
         measure_bound(0.5, 1.0 + 1e-7)
 
 
+def test_condition_warning_points_at_the_caller():
+    # through the minimizer as well as directly, the warning names this file
+    with pytest.warns(NumericalConditionWarning) as direct:
+        measure_bound(0.5, 1.0 + 1e-7)
+    with pytest.warns(NumericalConditionWarning) as minimized:
+        minimize_over_q(1e-10, "measure")
+    assert [w.filename for w in direct] == [__file__]
+    assert {w.filename for w in minimized} == {__file__}
+
+
 # ----------------------------------------------------------------- closed form
 
 

@@ -101,6 +101,18 @@ def test_table_default_text():
     assert "---" in text  # angle column absent below threshold
 
 
+@pytest.mark.parametrize("ps", [["0.01"], ["0.003", "0.5"], ["0.0001"]])
+def test_table_text_keeps_cells_apart_at_small_p(ps):
+    # the closed-form cells outgrow their default width below p ~ 0.02
+    code, text = run(["table", "--p", *ps])
+    assert code == 0
+    lines = text.splitlines()
+    header, rows = lines[0].split(), [line.split() for line in lines[1:]]
+    assert header == ["p", "lower", "angle_min", "closed_form", "measure_min"]
+    assert all(len(row) == 5 for row in rows)
+    assert len({len(line) for line in lines}) == 1  # columns stay aligned
+
+
 def test_table_csv_shape():
     code, text = run(["table", "--format", "csv"])
     assert code == 0
