@@ -38,22 +38,15 @@ from .bounds import (
     table_rows,
 )
 from .conformal import (
-    INFINITY,
-    ComplexValue,
-    MoebiusMap,
-    PoleParameter,
     alpha_from_p,
     cayley,
-    cayley_map,
     omega_to_disk,
     omega1_to_halfplane,
     p_from_alpha,
     vertical_translation,
-    vertical_translation_map,
 )
 from .errors import (
     DegenerateGeometryError,
-    DegenerateMapError,
     DomainError,
     HypothesisViolationError,
     MinimizationError,
@@ -61,7 +54,6 @@ from .errors import (
     PoleBoundsError,
     PoleProximityError,
     QuadratureError,
-    SphereArithmeticError,
     UnsupportedDomainError,
     WalkCapError,
 )

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import minimize_over_q
-from .conformal import MoebiusMap, as_complex
+from .conformal import as_complex
 from .errors import (
     DegenerateGeometryError,
     DomainError,
@@ -133,7 +133,7 @@ class PolylineArc:
         if len(verts) < 2:
             raise DomainError("a polyline arc needs at least two vertices")
         for v in verts:
-            if abs(v) >= 1.0:
+            if not abs(v) < 1.0:
                 raise DomainError(f"vertex {v} is not strictly inside the unit disk")
         for u, v in zip(verts, verts[1:]):
             if u == v:
@@ -238,6 +238,7 @@ def arc_constant(
     curves); raises :class:`HypothesisViolationError` otherwise. The branch
     is inside when the arc closed by its axis chord winds around the
     reflected pole ``-conj(s)``, which is where ``J + J^`` winds around ``s``.
+    A pole within ``_ON_CURVE_TOL`` of ``J^`` takes the inside branch.
     """
     ss = as_complex(s)
     if abs(ss) >= 1.0:
@@ -248,7 +249,11 @@ def arc_constant(
 
     y_lo, y_hi = enclosed_axis_segment(arc)
 
-    if arc.distance_to(ss) <= _ON_CURVE_TOL:
+    verts = np.array(arc.vertices)
+    near, mirror = _segment_feet(
+        verts[:-1], verts[1:] - verts[:-1], np.array([[ss], [-ss.conjugate()]])
+    )[1].min(axis=1)
+    if near <= _ON_CURVE_TOL:
         raise HypothesisViolationError("pole lies on the arc")
     if _segment_feet(1j * y_lo, 1j * (y_hi - y_lo), ss)[1] <= _ON_CURVE_TOL:
         raise HypothesisViolationError("pole lies on the enclosed axis segment")
@@ -264,7 +269,9 @@ def arc_constant(
     tau = math.tanh(hyp_dist_to_vertical_segment(ss, y_lo, y_hi))
     # Off J^ this is the winding number of J + J^ about s (its part about s is 0
     # here): reflection negates each _orient exactly, and the chord edges cancel.
-    if winding_number(-ss.conjugate(), arc.vertices) != 0:
+    # On J^ that number is undefined; the inside constant (the measure minimum,
+    # at least 73.25) exceeds the default analytic one, so J^ counts as inside.
+    if mirror <= _ON_CURVE_TOL or winding_number(-ss.conjugate(), arc.vertices) != 0:
         if not 0.0 < tau < 1.0:
             raise DegenerateGeometryError(f"tau = {tau!r} outside (0, 1)")
         return ArcConstant(
@@ -329,13 +336,12 @@ class NormalizedInstance:
     z1: complex
     z2: complex
     arc: PolylineArc | None
-    transform: MoebiusMap
 
 
 def normalize_to_axis(
     s: complex, z1: complex, z2: complex, arc: PolylineArc | None = None
 ) -> NormalizedInstance:
-    """Compose disk automorphisms sending ``z1``, ``z2`` onto the vertical diameter.
+    """Apply the disk automorphism sending ``z1``, ``z2`` onto the vertical diameter.
 
     The hyperbolic midpoint of the endpoints goes to the origin and the pair
     is rotated onto the imaginary axis, ``z2`` to the upper point. Hyperbolic
@@ -344,45 +350,53 @@ def normalize_to_axis(
     arc is validated again; endpoints that already lie on the axis are
     returned through the identity, with the given ``arc`` object itself.
     """
-    z1, z2 = complex(z1), complex(z2)
+    s, z1, z2 = complex(s), complex(z1), complex(z2)
     if z1 == z2:
         raise DomainError("endpoints must be distinct")
     for z in (z1, z2):
-        if abs(z) >= 1.0:
+        if not abs(z) < 1.0:
             raise DomainError("endpoints must lie strictly inside the unit disk")
+    # The map's pole lies outside the closed disk, so inside it the division is safe.
+    if not abs(s) < 1.0:
+        raise DomainError("the pole must lie strictly inside the unit disk")
 
-    if z1.real == 0.0 and z2.real == 0.0:
-        transform = MoebiusMap.identity()
-        new_arc = arc
+    # Each map is (a z + b) / (c z + d), applied with integer coefficients as
+    # written (the identity turns a -0.0 component into 0.0), and the composed
+    # coefficients are the 2x2 matrix products.
+    on_axis = z1.real == 0.0 and z2.real == 0.0
+    if on_axis:
+        a, b, c, d = 1, 0, 0, 1
     else:
-        # Send z1 to 0, find the hyperbolic midpoint of the image pair, recenter.
-        to_zero = MoebiusMap(1, -z1, -z1.conjugate(), 1)
-        w = to_zero(z2).value
+        # Send z1 to 0, find the hyperbolic midpoint of the image pair, recenter, rotate.
+        w = (1 * z2 + -z1) / (-z1.conjugate() * z2 + 1)
         r = abs(w)
+        if not r < 1.0:
+            raise DomainError("endpoints are too close to the unit circle to normalize")
         mid = (w / r) * (r / (1.0 + math.sqrt(1.0 - r * r)))
-        recenter = MoebiusMap(1, -mid, -mid.conjugate(), 1)
-        u2 = recenter(w).value
+        u2 = (1 * w + -mid) / (-mid.conjugate() * w + 1)
         angle = math.pi / 2.0 - math.atan2(u2.imag, u2.real)
-        rot = MoebiusMap(complex(math.cos(angle), math.sin(angle)), 0, 0, 1)
-        transform = rot.compose(recenter.compose(to_zero))
-        new_arc = None
-        if arc is not None:
-            # straight segments between mapped vertices can cross: validate again
-            new_arc = PolylineArc(tuple(transform(v).value for v in arc.vertices))
-    return NormalizedInstance(
-        s=transform(s).value,
-        z1=transform(z1).value,
-        z2=transform(z2).value,
-        arc=new_arc,
-        transform=transform,
-    )
+        e = complex(math.cos(angle), math.sin(angle))
+        a = 1 * 1 + -mid * -z1.conjugate()
+        b = 1 * -z1 + -mid * 1
+        c = -mid.conjugate() * 1 + 1 * -z1.conjugate()
+        d = -mid.conjugate() * -z1 + 1 * 1
+        a, b, c, d = e * a + 0 * c, e * b + 0 * d, 0 * a + 1 * c, 0 * b + 1 * d
+
+    def move(z: complex) -> complex:
+        return (a * z + b) / (c * z + d)
+
+    new_arc = arc
+    if arc is not None and not on_axis:
+        # straight segments between mapped vertices can cross: validate again
+        new_arc = PolylineArc(tuple(move(v) for v in arc.vertices))
+    return NormalizedInstance(s=move(s), z1=move(z1), z2=move(z2), arc=new_arc)
 
 
 def _parse_point(fields: list[str], where: str, line: str) -> complex:
     try:
-        return complex(float(fields[0]), float(fields[1]))
-    except ValueError:
-        raise DomainError(f"{where}: expected two numbers, got {line!r}") from None
+        return as_complex(complex(float(fields[0]), float(fields[1])))
+    except ValueError:  # the DomainError of a non-finite point is a ValueError too
+        raise DomainError(f"{where}: expected two finite numbers, got {line!r}") from None
 
 
 def load_polyline_instance(path) -> tuple[complex, PolylineArc]:

@@ -1,4 +1,4 @@
-"""Riemann-sphere arithmetic and the conformal maps the rest of the package builds on.
+"""The conformal maps the rest of the package builds on, as plain complex functions.
 
 Geometry vocabulary used throughout:
 
@@ -12,192 +12,24 @@ Geometry vocabulary used throughout:
   (the side containing the origin), and ``Omega1`` its image in ``H`` under
   the Cayley map (the side containing ``i``).
 
-Everything here is a pure function of its arguments; ``ComplexValue`` and
-``MoebiusMap`` instances are immutable.
+Every map is applied only where it is finite, so each is one formula on a
+``complex`` (or elementwise on a numpy array of them), undefined at its pole.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
-from dataclasses import dataclass
-from typing import Union
 
-from .errors import DegenerateMapError, DomainError, SphereArithmeticError
-
-ComplexLike = Union["ComplexValue", complex, float, int]
+from .errors import DomainError
 
 
-class ComplexValue:
-    """A point of the Riemann sphere: a finite complex number or infinity.
-
-    Finite values wrap a ``complex``; the point at infinity is a tagged
-    state rather than a floating ``inf``, so expressions like ``1 / (z - p)``
-    at ``z = p`` produce a clean value. Arithmetic follows the sphere
-    conventions ``1/0 = inf`` and ``1/inf = 0``; genuinely undefined forms
-    (``inf - inf``, ``0 * inf``, ``0/0``, ``inf/inf``) raise
-    :class:`SphereArithmeticError`.
-    """
-
-    __slots__ = ("_z",)
-
-    def __init__(self, value: ComplexLike = 0j):
-        if isinstance(value, ComplexValue):
-            self._z = value._z
-            return
-        z = complex(value)
-        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-            raise SphereArithmeticError(
-                "non-finite components; use ComplexValue.infinity() for the point at infinity"
-            )
-        self._z = z
-
-    @classmethod
-    def infinity(cls) -> "ComplexValue":
-        obj = cls.__new__(cls)
-        obj._z = None
-        return obj
-
-    @property
-    def is_infinity(self) -> bool:
-        return self._z is None
-
-    @property
-    def value(self) -> complex:
-        """The finite complex value; raises on infinity."""
-        if self._z is None:
-            raise SphereArithmeticError("the point at infinity has no finite value")
-        return self._z
-
-    @property
-    def re(self) -> float:
-        return self.value.real
-
-    @property
-    def im(self) -> float:
-        return self.value.imag
-
-    def conjugate(self) -> "ComplexValue":
-        return INFINITY if self._z is None else ComplexValue(self._z.conjugate())
-
-    def __complex__(self) -> complex:
-        return self.value
-
-    def __abs__(self) -> float:
-        return math.inf if self._z is None else abs(self._z)
-
-    def __neg__(self) -> "ComplexValue":
-        return INFINITY if self._z is None else ComplexValue(-self._z)
-
-    def __add__(self, other: ComplexLike) -> "ComplexValue":
-        w = _wrap(other)
-        if self._z is None and w._z is None:
-            raise SphereArithmeticError("inf + inf is undefined")
-        if self._z is None or w._z is None:
-            return INFINITY
-        return ComplexValue(self._z + w._z)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: ComplexLike) -> "ComplexValue":
-        return self + (-_wrap(other))
-
-    def __rsub__(self, other: ComplexLike) -> "ComplexValue":
-        return _wrap(other) + (-self)
-
-    def __mul__(self, other: ComplexLike) -> "ComplexValue":
-        w = _wrap(other)
-        if self._z is None or w._z is None:
-            if self._z == 0 or w._z == 0:
-                raise SphereArithmeticError("0 * inf is undefined")
-            return INFINITY
-        return ComplexValue(self._z * w._z)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: ComplexLike) -> "ComplexValue":
-        w = _wrap(other)
-        if self._z is None:
-            if w._z is None:
-                raise SphereArithmeticError("inf / inf is undefined")
-            return INFINITY
-        if w._z is None:
-            return ComplexValue(0j)
-        if w._z == 0:
-            if self._z == 0:
-                raise SphereArithmeticError("0 / 0 is undefined")
-            return INFINITY
-        return ComplexValue(self._z / w._z)
-
-    def __rtruediv__(self, other: ComplexLike) -> "ComplexValue":
-        return _wrap(other) / self
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (ComplexValue, complex, float, int)):
-            w = _wrap(other)
-            return self._z == w._z
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._z)
-
-    def __repr__(self) -> str:
-        return "ComplexValue(infinity)" if self._z is None else f"ComplexValue({self._z!r})"
-
-
-INFINITY = ComplexValue.infinity()
-
-
-def _wrap(z: ComplexLike) -> ComplexValue:
-    return z if isinstance(z, ComplexValue) else ComplexValue(z)
-
-
-def as_complex(z: ComplexLike) -> complex:
-    """Coerce to a finite ``complex``; rejects the point at infinity."""
-    return _wrap(z).value
-
-
-@dataclass(frozen=True)
-class MoebiusMap:
-    """Fractional linear transformation ``z -> (a z + b) / (c z + d)``.
-
-    Coefficients are finite and must satisfy ``ad - bc != 0``. Application is
-    total on the Riemann sphere.
-    """
-
-    a: complex
-    b: complex
-    c: complex
-    d: complex
-
-    def __post_init__(self) -> None:
-        if self.a * self.d - self.b * self.c == 0:
-            raise DegenerateMapError("ad - bc = 0: map is constant")
-
-    @classmethod
-    def identity(cls) -> "MoebiusMap":
-        return cls(1, 0, 0, 1)
-
-    def __call__(self, z: ComplexLike) -> ComplexValue:
-        zv = _wrap(z)
-        if zv.is_infinity:
-            return INFINITY if self.c == 0 else ComplexValue(self.a / self.c)
-        w = zv.value
-        den = self.c * w + self.d
-        if den == 0:
-            return INFINITY
-        return ComplexValue((self.a * w + self.b) / den)
-
-    def compose(self, other: "MoebiusMap") -> "MoebiusMap":
-        """The map ``self`` after ``other`` (coefficient-matrix product)."""
-        return MoebiusMap(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-    def inverse(self) -> "MoebiusMap":
-        return MoebiusMap(self.d, -self.b, -self.c, self.a)
+def as_complex(z: complex) -> complex:
+    """Coerce to a ``complex`` with finite components; raises :class:`DomainError` otherwise."""
+    z = complex(z)
+    if not cmath.isfinite(z):
+        raise DomainError(f"point {z!r} has a non-finite component")
+    return z
 
 
 def _check_unit_interval(x: float, name: str) -> float:
@@ -221,41 +53,17 @@ def p_from_alpha(alpha: float) -> float:
     return alpha / (1.0 + math.sqrt(1.0 - alpha * alpha))
 
 
-@dataclass(frozen=True)
-class PoleParameter:
-    """A pole location ``p`` in (0, 1) together with its derived ``alpha``."""
-
-    p: float
-    alpha: float
-
-    @classmethod
-    def from_p(cls, p: float) -> "PoleParameter":
-        return cls(float(p), alpha_from_p(p))
-
-    @classmethod
-    def from_alpha(cls, alpha: float) -> "PoleParameter":
-        return cls(p_from_alpha(alpha), float(alpha))
-
-
-_CAYLEY = MoebiusMap(-1, 1j, -1j, 1)
-
-
-def cayley_map() -> MoebiusMap:
-    """The Cayley transform ``g(z) = i (1 + iz) / (1 - iz)`` as a MoebiusMap."""
-    return _CAYLEY
-
-
-def cayley(z: ComplexLike) -> ComplexValue:
-    """Involutive Cayley transform between the unit disk and upper half-plane.
+def cayley(z: complex) -> complex:
+    """Involutive Cayley transform ``g(z) = i (1 + iz) / (1 - iz)`` between ``D`` and ``H``.
 
     ``g`` maps ``D`` onto ``H`` with ``g(0) = i``; the vertical diameter goes
     to the positive imaginary axis and the left half-circle to the positive
-    real axis. ``g(g(z)) = z`` on the whole sphere.
+    real axis. ``g(g(z)) = z`` away from the pole ``z = -i``.
     """
-    return _CAYLEY(z)
+    return (-1 * z + 1j) / (-1j * z + 1)
 
 
-def omega_to_disk(z: ComplexLike, alpha: float) -> ComplexValue:
+def omega_to_disk(z: complex, alpha: float) -> complex:
     """Map ``z (1 - alpha z) / (z - alpha)``, conformal from Omega onto D.
 
     Normalized so the origin is fixed and the derivative there is
@@ -263,36 +71,22 @@ def omega_to_disk(z: ComplexLike, alpha: float) -> ComplexValue:
     of ``z`` in Omega is the caller's concern (see ``hyperbolic.in_omega``).
     """
     alpha = _check_unit_interval(alpha, "alpha")
-    zv = _wrap(z)
-    if zv.is_infinity:
-        return INFINITY
-    w = zv.value
-    den = w - alpha
-    if den == 0:
-        return INFINITY
-    return ComplexValue(w * (1.0 - alpha * w) / den)
+    return z * (1.0 - alpha * z) / (z - alpha)
 
 
-def omega1_to_halfplane(z: ComplexLike, p: float) -> ComplexValue:
+def omega1_to_halfplane(z: complex, p: float) -> complex:
     """Map ``((z + p) / (z + 1/p))^2``, conformal from Omega1 onto H.
 
     Restricted to the positive real axis it is real, positive and strictly
     increasing, so it sends a segment ``[a, b]`` of the positive axis to the
-    real segment ``[psi(a), psi(b)]``.
+    real segment ``[psi(a), psi(b)]``. Its pole ``-1/p`` lies outside Omega1.
     """
     p = _check_unit_interval(p, "p")
-    zv = _wrap(z)
-    if zv.is_infinity:
-        return ComplexValue(1.0 + 0j)
-    w = zv.value
-    den = w + 1.0 / p
-    if den == 0:
-        return INFINITY
-    q = (w + p) / den
-    return ComplexValue(q * q)
+    q = (z + p) / (z + 1.0 / p)
+    return q * q
 
 
-def vertical_translation_map(a: float) -> MoebiusMap:
+def vertical_translation(z: complex, a: float) -> complex:
     """Disk automorphism ``(z + ia) / (1 - i a z)`` for ``-1 < a < 1``.
 
     A hyperbolic translation along the vertical diameter: it maps D onto D
@@ -300,9 +94,4 @@ def vertical_translation_map(a: float) -> MoebiusMap:
     """
     if not -1.0 < a < 1.0:
         raise DomainError(f"a must lie in (-1, 1), got {a!r}")
-    return MoebiusMap(1, 1j * a, -1j * a, 1)
-
-
-def vertical_translation(z: ComplexLike, a: float) -> ComplexValue:
-    """Apply :func:`vertical_translation_map` pointwise."""
-    return vertical_translation_map(a)(z)
+    return (1 * z + 1j * a) / (-1j * a * z + 1)

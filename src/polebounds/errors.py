@@ -9,14 +9,6 @@ class DomainError(PoleBoundsError, ValueError):
     """An argument lies outside the mathematical domain of an operation."""
 
 
-class SphereArithmeticError(PoleBoundsError, ArithmeticError):
-    """An undefined Riemann-sphere form was requested (0/0, inf - inf, 0 * inf)."""
-
-
-class DegenerateMapError(PoleBoundsError, ValueError):
-    """Moebius coefficients satisfy ad - bc = 0."""
-
-
 class DegenerateGeometryError(PoleBoundsError):
     """A geometric configuration is tangential or otherwise ill-posed."""
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conformal import ComplexLike, as_complex, omega1_to_halfplane, _check_unit_interval
+from .conformal import as_complex, omega1_to_halfplane, _check_unit_interval
 from .errors import DomainError, UnsupportedDomainError, WalkCapError
 from .hyperbolic import ExcludedDisk, in_omega1
 
@@ -60,7 +60,7 @@ class SegmentQuery:
             raise DomainError("z must lie in Omega1 for a constrained query")
 
 
-def hm_halfplane(z: ComplexLike, a: float, b: float) -> float:
+def hm_halfplane(z: complex, a: float, b: float) -> float:
     """Harmonic measure of the segment ``[a, b]`` seen from ``z`` in ``H``.
 
     Equals ``1/pi`` times the angle subtended by the segment at ``z``;
@@ -82,7 +82,7 @@ def hm_halfplane(z: ComplexLike, a: float, b: float) -> float:
     return w
 
 
-def hm_omega1(z: ComplexLike, a: float, b: float, p: float) -> float:
+def hm_omega1(z: complex, a: float, b: float, p: float) -> float:
     """Harmonic measure of ``[a, b]`` seen from ``z`` in Omega1.
 
     Exact by conformal invariance: ``psi`` maps Omega1 onto ``H`` and the
@@ -93,9 +93,9 @@ def hm_omega1(z: ComplexLike, a: float, b: float, p: float) -> float:
         raise DomainError("need 0 < a < b")
     if not in_omega1(zz, p):
         raise DomainError("z must lie in Omega1")
-    pa = omega1_to_halfplane(complex(a, 0.0), p).re
-    pb = omega1_to_halfplane(complex(b, 0.0), p).re
-    return hm_halfplane(omega1_to_halfplane(zz, p).value, pa, pb)
+    pa = omega1_to_halfplane(complex(a, 0.0), p).real
+    pb = omega1_to_halfplane(complex(b, 0.0), p).real
+    return hm_halfplane(omega1_to_halfplane(zz, p), pa, pb)
 
 
 def _measure_cot(p, q):
@@ -139,7 +139,7 @@ class WosEstimate:
 
 
 def wos_harmonic_measure(
-    z: ComplexLike,
+    z: complex,
     a: float,
     b: float,
     p: float,
@@ -235,9 +235,9 @@ def check_distance_measure_bound(
     domain: str,
     a: float,
     b: float,
-    w: ComplexLike,
+    w: complex,
     d: float,
-    w0: ComplexLike,
+    w0: complex,
     p: float | None = None,
 ) -> DistanceMeasureCheck:
     """Check ``delta_D(w) <= d * cot^2(pi * omega(w, [a, b], D) / 4)``.

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .conformal import ComplexLike, alpha_from_p, as_complex, _check_unit_interval
+from .conformal import alpha_from_p, as_complex, _check_unit_interval
 from .errors import DomainError
 
 #: Arcs with radius beyond this are represented as straight geodesics.
@@ -82,12 +82,12 @@ class ExcludedDisk:
         p = _check_unit_interval(p, "p")
         return cls(p, (1.0 + p * p) / (2.0 * p), (1.0 - p * p) / (2.0 * p))
 
-    def boundary_gap(self, z: ComplexLike) -> float:
+    def boundary_gap(self, z: complex) -> float:
         """Signed distance to the boundary circle (positive outside)."""
         return abs(as_complex(z) - self.center) - self.radius
 
 
-def hyp_dist_disk(z: ComplexLike, w: ComplexLike) -> float:
+def hyp_dist_disk(z: complex, w: complex) -> float:
     """Hyperbolic distance between two points of the open unit disk.
 
     Returns ``inf`` when the pseudo-distance ratio rounds to 1, which happens
@@ -159,7 +159,7 @@ def disk_geodesic_between(e1: complex, e2: complex) -> Geodesic:
     return Geodesic(kind="line", ambient="disk", endpoints=(e1, e2))
 
 
-def in_omega(z: ComplexLike, p: float) -> bool:
+def in_omega(z: complex, p: float) -> bool:
     """Strict membership in Omega: inside ``D`` and outside the excluded disk.
 
     Boundary points return ``False``.
@@ -169,14 +169,14 @@ def in_omega(z: ComplexLike, p: float) -> bool:
     return abs(zz) < 1.0 and disk.boundary_gap(zz) > 0.0
 
 
-def in_omega1(z: ComplexLike, p: float) -> bool:
+def in_omega1(z: complex, p: float) -> bool:
     """Strict membership in Omega1, the Cayley image of Omega in ``H``."""
     zz = as_complex(z)
     disk = ExcludedDisk.from_pole(p)
     return zz.imag > 0.0 and abs(zz + disk.center) - disk.radius > 0.0
 
 
-def on_separating_geodesic(z: ComplexLike, p: float, tol: float = ON_BOUNDARY_TOL) -> bool:
+def on_separating_geodesic(z: complex, p: float, tol: float = ON_BOUNDARY_TOL) -> bool:
     """Whether ``z`` lies on the separating geodesic within ``tol``."""
     zz = as_complex(z)
     disk = ExcludedDisk.from_pole(p)
@@ -199,7 +199,7 @@ def disk_nesting(p1: float, p2: float) -> bool:
     return d1.center - d2.center + d2.radius <= d1.radius + 1e-12
 
 
-def hyp_dist_to_vertical_segment(s: ComplexLike, y1: float, y2: float) -> float:
+def hyp_dist_to_vertical_segment(s: complex, y1: float, y2: float) -> float:
     """Hyperbolic distance from ``s`` to the segment ``[i y1, i y2]`` of the
     closed vertical diameter.
 

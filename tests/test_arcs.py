@@ -11,7 +11,6 @@ from polebounds import (
     DegenerateGeometryError,
     DomainError,
     HypothesisViolationError,
-    MoebiusMap,
     PolylineArc,
     arc_constant,
     enclosed_axis_segment,
@@ -22,7 +21,7 @@ from polebounds import (
     mobius_family,
     normalize_to_axis,
     verify_arc_inequality,
-    vertical_translation_map,
+    vertical_translation,
     winding_number,
 )
 
@@ -54,6 +53,9 @@ def test_polyline_validation():
         PolylineArc((0.1 + 0j,))
     with pytest.raises(DomainError):
         PolylineArc((0.1, 1.2))  # vertex outside the disk
+    for bad in (complex(math.nan, 0.0), complex(0.0, math.inf)):
+        with pytest.raises(DomainError):
+            PolylineArc((-0.5j, bad, 0.5j))  # abs(bad) >= 1.0 is False for nan
     with pytest.raises(DomainError):
         PolylineArc((0.1, 0.1, 0.2j))  # repeated vertex
     with pytest.raises(DomainError):
@@ -324,6 +326,24 @@ def test_reflected_pole_branch_matches_mirror_loop():
     assert min(branches.values()) >= 100 and on_axis_poles >= 60
 
 
+# a lattice arc; the mirror of each pole lies exactly on it (edge or vertex)
+_LATTICE_ARC = PolylineArc(
+    (-0.25j, -0.125 + 0.0625j, -0.3125 + 0.0625j, -0.5 + 0.1875j, -0.5 + 0.5625j, 0.4375j)
+)
+
+
+@pytest.mark.parametrize(
+    "s", [0.5 + 0.5625j, 0.25 + 0.5j, 0.375 + 0.53125j, 0.3125 + 0.0625j, 0.5 + 0.375j]
+)
+def test_pole_on_mirror_image_takes_inside_branch(s):
+    # the winding number about -conj(s) is undefined there; the crossing rule
+    # alone gave outside for the first three
+    assert _LATTICE_ARC.distance_to(-s.conjugate()) == 0.0
+    sel = arc_constant(s, _LATTICE_ARC)
+    assert sel.branch == "inside_hull"
+    assert sel.constant == minimize_over_q(sel.tau, "measure").value
+
+
 def test_arc_on_the_axis_encloses_no_pole():
     # vertices within GEOMETRY_TOL of the axis; poles down to 2e-10 from it
     rng = np.random.default_rng(31)
@@ -380,9 +400,8 @@ def test_verify_with_self_computed_fallback_constant():
 
 def test_normalize_identity_when_already_on_axis():
     inst = normalize_to_axis(0.3 + 0j, -0.4j, 0.6j, J_LEFT)
-    assert inst.transform == MoebiusMap.identity()
-    assert inst.s == 0.3 + 0j
-    assert inst.arc.vertices == J_LEFT.vertices
+    assert (inst.s, inst.z1, inst.z2) == (0.3 + 0j, -0.4j, 0.6j)
+    assert inst.arc is J_LEFT
 
 
 def test_normalize_lands_endpoints_on_axis():
@@ -403,14 +422,39 @@ def test_normalize_preserves_tau():
     s0, y1, y2 = 0.3 + 0.1j, -0.4, 0.6
     tau0 = math.tanh(hyp_dist_to_vertical_segment(s0, y1, y2))
     # scramble the normalized configuration by a known automorphism
-    rot = MoebiusMap(cmath.exp(0.8j), 0, 0, 1)
-    t = rot.compose(vertical_translation_map(0.35))
-    inst = normalize_to_axis(
-        t(s0).value, t(complex(0, y1)).value, t(complex(0, y2)).value
-    )
+    def t(z):
+        return cmath.exp(0.8j) * vertical_translation(z, 0.35)
+
+    inst = normalize_to_axis(t(s0), t(complex(0, y1)), t(complex(0, y2)))
     lo, hi = sorted((inst.z1.imag, inst.z2.imag))
     tau1 = math.tanh(hyp_dist_to_vertical_segment(inst.s, lo, hi))
     assert tau1 == pytest.approx(tau0, abs=1e-10)
+
+
+# repr of each result, recorded before the maps became plain complex formulas;
+# signed zeros included (the identity path turns -0.0 into 0.0)
+_NORMALIZED = [
+    ((0.2 + 0.1j, -0.3 - 0.4j, 0.5 + 0.2j, (-0.3 - 0.4j, -0.6 + 0.0j, 0.5 + 0.2j)),
+     "((-0.07728142758884171+0.19320572982081827j), (1.1102230246251564e-16-0.5082158643476736j), "
+     "(1.2282270651660626e-16+0.5082158643476734j), ((1.1102230246251564e-16-0.5082158643476736j), "
+     "(-0.4664048203669543-0.46256599801860787j), (1.2282270651660626e-16+0.5082158643476734j)))"),
+    ((-0.45 + 0.3j, 0.7 - 0.1j, -0.2 + 0.6j, None),
+     "((-0.3461409757951825+0.5408439574073302j), (-1.839921529310561e-16-0.6290159310351968j), "
+     "(7.211110073938364e-17+0.6290159310351967j), None)"),
+    ((complex(0.35, -0.0), complex(-0.0, -0.5), 0.25 + 0.5j,
+      (complex(-0.0, -0.5), -0.4 + 0.1j, 0.25 + 0.5j)),
+     "((0.2532560954470587+0.04392416102333073j), (-1.1102230246251565e-16-0.5220958866337441j), "
+     "(8.653764787783172e-17+0.5220958866337442j), ((-1.1102230246251565e-16-0.5220958866337441j), "
+     "(-0.4877332000015178-0.04907843299605062j), (8.653764787783172e-17+0.5220958866337442j)))"),
+    ((complex(-0.0, 0.2), -0.4j, complex(-0.0, 0.6), None), "(0.2j, -0.4j, 0.6j, None)"),
+]
+
+
+@pytest.mark.parametrize("config, expect", _NORMALIZED)
+def test_normalize_is_bit_identical_to_recorded_values(config, expect):
+    s, z1, z2, verts = config
+    inst = normalize_to_axis(s, z1, z2, None if verts is None else PolylineArc(verts))
+    assert repr((inst.s, inst.z1, inst.z2, None if inst.arc is None else inst.arc.vertices)) == expect
 
 
 def test_normalize_rejects_bad_endpoints():
@@ -418,6 +462,31 @@ def test_normalize_rejects_bad_endpoints():
         normalize_to_axis(0.0, 0.5, 0.5)
     with pytest.raises(DomainError):
         normalize_to_axis(0.0, 0.5, 1.5)
+    with pytest.raises(DomainError):
+        normalize_to_axis(0.0, complex(math.nan, 0.0), 0.5j)
+
+
+@pytest.mark.parametrize("s", [complex(math.nan, 0.2), complex(0.1, math.inf), 1.0 + 0j, 0.6 - 0.9j])
+@pytest.mark.parametrize("z1, z2", [(-0.5j, 0.5j), (-0.3 - 0.4j, 0.5 + 0.2j)])
+def test_normalize_rejects_a_pole_off_the_open_disk(s, z1, z2):
+    # checked before anything is mapped: the division has no tagged infinity to fall back on
+    with pytest.raises(DomainError, match="pole"):
+        normalize_to_axis(s, z1, z2)
+
+
+@pytest.mark.parametrize(
+    "z1, z2",
+    [
+        # |image of z2| rounds to 1 (this raised a degenerate-map error) ...
+        (0.5855794960167322 - 0.8106149849617666j, 0.3033775719525831 + 0.9528702383116855j),
+        # ... or above 1 (this took the square root of a negative number)
+        (0.5467041046394294 - 0.8372610385006396j, -0.8312151664824113 - 0.5559508494548926j),
+    ],
+)
+def test_normalize_rejects_endpoints_that_round_onto_the_circle(z1, z2):
+    # no hyperbolic midpoint exists for a pair whose image lies on the unit circle
+    with pytest.raises(DomainError, match="unit circle"):
+        normalize_to_axis(0.1j, z1, z2)
 
 
 # ------------------------------------------------------------------- file I/O

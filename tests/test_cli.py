@@ -294,6 +294,21 @@ def test_arc_non_numeric_header_exits_2(tmp_path, capsys):
     assert f"{path}:1:" in err
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("where", ["pole", "vertex"])
+@pytest.mark.parametrize("ends", [("0.0 -0.5", "0.0 0.5"), ("0.3 -0.4", "-0.2 0.6")])
+def test_arc_non_finite_coordinate_exits_2(tmp_path, capsys, bad, where, ends):
+    # a nan vertex of an on-axis instance reached "passes within nan of the
+    # pole"; a nan pole named an internal class. The message is the parse error.
+    pole = f"pole {bad} 0.1" if where == "pole" else "pole 0.2 0.1"
+    vertex = f"-0.45 {bad}" if where == "vertex" else "-0.45 0.0"
+    path = tmp_path / "bad.txt"
+    path.write_text(f"{pole}\n{ends[0]}\n{vertex}\n{ends[1]}\n")
+    err = _assert_usage_error(["arc", "--family", "mobius", "--file", str(path)], capsys)
+    line, text = (1, pole) if where == "pole" else (3, vertex)
+    assert err == f"error: {path}:{line}: expected two finite numbers, got {text!r}\n"
+
+
 def test_arc_directory_exits_2(tmp_path, capsys):
     _assert_usage_error(["arc", "--family", "mobius", "--file", str(tmp_path)], capsys)
 

@@ -105,6 +105,20 @@ def test_omega1_frozen_value():
     assert hm_omega1(2j, 1.0, 4.0, 0.5) == pytest.approx(0.18716704181099877, abs=1e-14)
 
 
+@pytest.mark.parametrize(
+    "z, a, b, p, expect",
+    [
+        (2j, 1.0, 4.0, 0.5, "0.18716704181099877"),
+        (0.3 + 0.7j, 0.25, 3.0, 0.2, "0.34180662650079285"),
+        (complex(-0.0, 1.5), 1.0, 2.0, 0.9, "0.10772879106635087"),
+        (-1.5 + 2.5j, 0.5, 9.0, 0.6, "0.19285452085275917"),
+    ],
+)
+def test_omega1_is_bit_identical_to_recorded_values(z, a, b, p, expect):
+    # recorded before the map psi became a plain complex formula
+    assert repr(hm_omega1(z, a, b, p)) == expect
+
+
 def test_omega1_rejects_outside_points():
     with pytest.raises(DomainError):
         hm_omega1(-1 + 0.1j, 1.0, 2.0, 0.5)  # inside the excluded disk's image
