@@ -60,7 +60,6 @@ from .errors import (
 from .harmonic import (
     DEFAULT_SEED,
     DistanceMeasureCheck,
-    SegmentQuery,
     WosEstimate,
     arccot,
     check_distance_measure_bound,
@@ -71,16 +70,11 @@ from .harmonic import (
 )
 from .hyperbolic import (
     ExcludedDisk,
-    Geodesic,
-    disk_geodesic_between,
     disk_nesting,
     hyp_dist_disk,
     hyp_dist_to_vertical_segment,
     in_omega,
     in_omega1,
-    on_separating_geodesic,
-    separating_geodesic,
-    separating_geodesic_halfplane,
 )
 from .lengths import (
     Curve,

@@ -62,6 +62,11 @@ _ON_CURVE_TOL = 1e-10
 _PAIR_BLOCK = 1 << 16
 
 
+def _strictly_inside(z: complex) -> bool:
+    """``abs(z) < 1``, testing the components first, since ``abs(z)`` can overflow."""
+    return abs(z.real) < 1.0 and abs(z.imag) < 1.0 and abs(z) < 1.0
+
+
 def _orient(a: complex, b: complex, c: complex) -> float:
     return (b.real - a.real) * (c.imag - a.imag) - (b.imag - a.imag) * (c.real - a.real)
 
@@ -133,7 +138,7 @@ class PolylineArc:
         if len(verts) < 2:
             raise DomainError("a polyline arc needs at least two vertices")
         for v in verts:
-            if not abs(v) < 1.0:
+            if not _strictly_inside(v):
                 raise DomainError(f"vertex {v} is not strictly inside the unit disk")
         for u, v in zip(verts, verts[1:]):
             if u == v:
@@ -354,10 +359,10 @@ def normalize_to_axis(
     if z1 == z2:
         raise DomainError("endpoints must be distinct")
     for z in (z1, z2):
-        if not abs(z) < 1.0:
+        if not _strictly_inside(z):
             raise DomainError("endpoints must lie strictly inside the unit disk")
     # The map's pole lies outside the closed disk, so inside it the division is safe.
-    if not abs(s) < 1.0:
+    if not _strictly_inside(s):
         raise DomainError("the pole must lie strictly inside the unit disk")
 
     # Each map is (a z + b) / (c z + d), applied with integer coefficients as

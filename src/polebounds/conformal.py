@@ -25,10 +25,17 @@ from .errors import DomainError
 
 
 def as_complex(z: complex) -> complex:
-    """Coerce to a ``complex`` with finite components; raises :class:`DomainError` otherwise."""
+    """Coerce to a ``complex`` with finite components and a modulus that does not overflow.
+
+    Raises :class:`DomainError` otherwise.
+    """
     z = complex(z)
     if not cmath.isfinite(z):
         raise DomainError(f"point {z!r} has a non-finite component")
+    try:
+        abs(z)
+    except OverflowError:
+        raise DomainError(f"point {z!r} has a modulus that overflows") from None
     return z
 
 

@@ -44,22 +44,6 @@ def arccot(x: float) -> float:
     return math.atan2(1.0, x)
 
 
-@dataclass(frozen=True)
-class SegmentQuery:
-    """A harmonic-measure query: evaluation point and positive-axis segment."""
-
-    z: complex
-    a: float
-    b: float
-    p: float | None = None
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.a < self.b:
-            raise DomainError("need 0 < a < b")
-        if self.p is not None and not in_omega1(self.z, self.p):
-            raise DomainError("z must lie in Omega1 for a constrained query")
-
-
 def hm_halfplane(z: complex, a: float, b: float) -> float:
     """Harmonic measure of the segment ``[a, b]`` seen from ``z`` in ``H``.
 

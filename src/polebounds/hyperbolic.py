@@ -1,13 +1,16 @@
-"""Hyperbolic distances, geodesics, and the excluded-disk geometry.
+"""Hyperbolic distances, the excluded disk, and the domain predicates.
 
 The metric convention is curvature -4: the disk distance is
 ``d(z, w) = artanh |(z - w) / (1 - z conj(w))|``.
 
 The excluded disk attached to a pole location ``p`` is the closed disk with
 real center ``(1 + p^2) / (2p)`` and radius ``(1 - p^2) / (2p)``; its boundary
-circle meets ``D`` in the geodesic through ``p`` symmetric about the real
-axis. ``Omega`` is the complementary side of that geodesic containing the
-origin, ``Omega1`` its Cayley image in ``H`` containing ``i``.
+circle meets ``D`` in the separating geodesic through ``p``, symmetric about
+the real axis, with ideal endpoints ``alpha +- i sqrt(1 - alpha^2)``. The
+Cayley image of that circle has center ``-(1 + p^2) / (2p)``, the same radius,
+and meets the real axis at ``-p`` and ``-1/p``. ``Omega`` is the side of the
+geodesic containing the origin, ``Omega1`` its Cayley image in ``H``
+containing ``i``.
 """
 
 from __future__ import annotations
@@ -15,58 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .conformal import alpha_from_p, as_complex, _check_unit_interval
+from .conformal import as_complex, _check_unit_interval
 from .errors import DomainError
-
-#: Arcs with radius beyond this are represented as straight geodesics.
-STRAIGHT_SNAP_RADIUS = 1e8
-
-#: Tolerance for "lies on the boundary" style predicates.
-ON_BOUNDARY_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class Geodesic:
-    """A hyperbolic geodesic of the disk or the upper half-plane.
-
-    Either a circular arc orthogonal to the ambient boundary (``kind="arc"``,
-    with ``center`` and ``radius``) or a straight one (``kind="line"``: a
-    diameter of the disk or a vertical ray of the half-plane). ``endpoints``
-    are the two ideal endpoints on the ambient boundary.
-    """
-
-    kind: str
-    ambient: str
-    endpoints: tuple[complex, complex]
-    center: complex | None = None
-    radius: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("arc", "line"):
-            raise DomainError(f"unknown geodesic kind {self.kind!r}")
-        if self.ambient not in ("disk", "halfplane"):
-            raise DomainError(f"unknown ambient {self.ambient!r}")
-        if self.kind == "arc":
-            if self.center is None or self.radius is None or self.radius <= 0:
-                raise DomainError("arc geodesics need a center and a positive radius")
-            if self.ambient == "disk":
-                gap = abs(self.center) ** 2 - self.radius**2 - 1.0
-                if abs(gap) > 1e-9 * (1.0 + self.radius**2):
-                    raise DomainError("arc is not orthogonal to the unit circle")
-            else:
-                if abs(self.center.imag) > 1e-12 * (1.0 + abs(self.center)):
-                    raise DomainError("half-plane geodesic arcs are centered on the real axis")
-            for e in self.endpoints:
-                if abs(abs(e - self.center) - self.radius) > 1e-12 * max(1.0, self.radius):
-                    raise DomainError("endpoint does not lie on the geodesic circle")
-        if self.ambient == "disk":
-            for e in self.endpoints:
-                if abs(abs(e) - 1.0) > 1e-12:
-                    raise DomainError("disk geodesic endpoints must lie on the unit circle")
-        else:
-            for e in self.endpoints:
-                if abs(e.imag) > 1e-12 * max(1.0, abs(e)):
-                    raise DomainError("half-plane geodesic endpoints must be real")
 
 
 @dataclass(frozen=True)
@@ -101,64 +54,6 @@ def hyp_dist_disk(z: complex, w: complex) -> float:
     return math.inf if t >= 1.0 else math.atanh(t)
 
 
-def separating_geodesic(p: float) -> Geodesic:
-    """The disk geodesic through ``p`` symmetric about the real axis.
-
-    This is the boundary arc of the excluded disk; its ideal endpoints are
-    ``alpha +- i sqrt(1 - alpha^2)``.
-    """
-    disk = ExcludedDisk.from_pole(p)
-    alpha = alpha_from_p(p)
-    h = math.sqrt(1.0 - alpha * alpha)
-    return Geodesic(
-        kind="arc",
-        ambient="disk",
-        endpoints=(complex(alpha, h), complex(alpha, -h)),
-        center=complex(disk.center, 0.0),
-        radius=disk.radius,
-    )
-
-
-def separating_geodesic_halfplane(p: float) -> Geodesic:
-    """The Cayley image of :func:`separating_geodesic`: a half-plane semicircle.
-
-    Its endpoints are ``-p`` and ``-1/p`` and its center the real point
-    ``-(1 + p^2) / (2p)``.
-    """
-    disk = ExcludedDisk.from_pole(p)
-    return Geodesic(
-        kind="arc",
-        ambient="halfplane",
-        endpoints=(complex(-p, 0.0), complex(-1.0 / p, 0.0)),
-        center=complex(-disk.center, 0.0),
-        radius=disk.radius,
-    )
-
-
-def disk_geodesic_between(e1: complex, e2: complex) -> Geodesic:
-    """The disk geodesic with ideal endpoints ``e1``, ``e2`` on the unit circle.
-
-    Near-antipodal endpoints give an enormous orthogonal circle; arcs with
-    radius beyond :data:`STRAIGHT_SNAP_RADIUS` are snapped to the diameter
-    case for numerical stability.
-    """
-    for e in (e1, e2):
-        if abs(abs(e) - 1.0) > 1e-9:
-            raise DomainError("geodesic endpoints must lie on the unit circle")
-    # Solve Re(e1 conj(c)) = Re(e2 conj(c)) = 1 for the orthogonal center c.
-    det = e1.real * e2.imag - e1.imag * e2.real
-    if det != 0.0:
-        cx = (e2.imag - e1.imag) / det
-        cy = (e1.real - e2.real) / det
-        center = complex(cx, cy)
-        radius = math.sqrt(max(abs(center) ** 2 - 1.0, 0.0))
-        if radius <= STRAIGHT_SNAP_RADIUS:
-            return Geodesic(
-                kind="arc", ambient="disk", endpoints=(e1, e2), center=center, radius=radius
-            )
-    return Geodesic(kind="line", ambient="disk", endpoints=(e1, e2))
-
-
 def in_omega(z: complex, p: float) -> bool:
     """Strict membership in Omega: inside ``D`` and outside the excluded disk.
 
@@ -174,13 +69,6 @@ def in_omega1(z: complex, p: float) -> bool:
     zz = as_complex(z)
     disk = ExcludedDisk.from_pole(p)
     return zz.imag > 0.0 and abs(zz + disk.center) - disk.radius > 0.0
-
-
-def on_separating_geodesic(z: complex, p: float, tol: float = ON_BOUNDARY_TOL) -> bool:
-    """Whether ``z`` lies on the separating geodesic within ``tol``."""
-    zz = as_complex(z)
-    disk = ExcludedDisk.from_pole(p)
-    return abs(zz) < 1.0 and abs(disk.boundary_gap(zz)) <= tol
 
 
 def disk_nesting(p1: float, p2: float) -> bool:

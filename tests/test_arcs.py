@@ -57,6 +57,8 @@ def test_polyline_validation():
         with pytest.raises(DomainError):
             PolylineArc((-0.5j, bad, 0.5j))  # abs(bad) >= 1.0 is False for nan
     with pytest.raises(DomainError):
+        PolylineArc((-0.5j, complex(1.7e308, 1.7e308), 0.5j))  # abs overflowed
+    with pytest.raises(DomainError):
         PolylineArc((0.1, 0.1, 0.2j))  # repeated vertex
     with pytest.raises(DomainError):
         PolylineArc((-0.5j, 0.5 + 0.5j, 0.5 - 0.5j, -0.2 + 0.6j))  # self-crossing
@@ -464,9 +466,13 @@ def test_normalize_rejects_bad_endpoints():
         normalize_to_axis(0.0, 0.5, 1.5)
     with pytest.raises(DomainError):
         normalize_to_axis(0.0, complex(math.nan, 0.0), 0.5j)
+    with pytest.raises(DomainError):
+        normalize_to_axis(0.0, complex(1.7e308, 1.7e308), 0.5j)  # abs overflowed
 
 
-@pytest.mark.parametrize("s", [complex(math.nan, 0.2), complex(0.1, math.inf), 1.0 + 0j, 0.6 - 0.9j])
+@pytest.mark.parametrize(
+    "s", [complex(math.nan, 0.2), complex(0.1, math.inf), 1.0 + 0j, 0.6 - 0.9j, 1.7e308 + 1.7e308j]
+)
 @pytest.mark.parametrize("z1, z2", [(-0.5j, 0.5j), (-0.3 - 0.4j, 0.5 + 0.2j)])
 def test_normalize_rejects_a_pole_off_the_open_disk(s, z1, z2):
     # checked before anything is mapped: the division has no tagged infinity to fall back on

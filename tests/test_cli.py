@@ -246,6 +246,22 @@ def test_harmonic_overflowing_sandwich_exits_2(capsys):
     assert "overflows" in err and "Warning" not in err and "Traceback" not in err
 
 
+def test_harmonic_overflowing_modulus_exits_2(capsys):
+    # abs(z) overflowed in the Omega1 membership test
+    err = _assert_usage_error(
+        ["harmonic", "--z", "1.7e308,1.7e308", "--a", "1", "--b", "2", "--p", "0.5"], capsys
+    )
+    assert err.count("\n") == 1 and "modulus that overflows" in err
+
+
+def test_arc_overflowing_modulus_exits_2(tmp_path, capsys):
+    # abs(v) overflowed in the vertex check of PolylineArc
+    path = tmp_path / "big.txt"
+    path.write_text("pole 0.2 0.1\n0.0 -0.5\n1.7e308 1.7e308\n0.0 0.5\n")
+    err = _assert_usage_error(["arc", "--family", "mobius", "--file", str(path)], capsys)
+    assert err.count("\n") == 1 and f"{path}:3:" in err
+
+
 def test_harmonic_lower_halfplane_exits_2():
     code, _ = run(["harmonic", "--z", "1,-1", "--a", "1", "--b", "4", "--p", "0.5"])
     assert code == 2
@@ -336,9 +352,9 @@ def test_harmonic_all_walks_capped_exits_2(monkeypatch, capsys):
 _NUMBER = st.one_of(
     st.integers(-9, 9).map(lambda k: repr(k / 10)),
     st.floats(-1.5, 1.5).map(repr),
-    st.sampled_from(["nan", "-inf", "1e400", "-0.0", "5e-324", "1_0", "0x1", "x"]),
+    st.sampled_from(["nan", "-inf", "1e400", "1.7e308", "-0.0", "5e-324", "1_0", "0x1", "x"]),
 )
-_VERTEX = st.tuples(_NUMBER, _NUMBER).map(" ".join)
+_VERTEX = st.one_of(st.tuples(_NUMBER, _NUMBER).map(" ".join), st.just("1.7e308 1.7e308"))
 _JUNK = st.one_of(
     st.sampled_from(["", "# comment", "pole", "pole 0.1", "1 2 3", "\t"]),
     st.text(st.characters(blacklist_categories=("Cs",)), max_size=8),
@@ -368,8 +384,8 @@ def test_arc_file_fuzz_exits_cleanly(tmp_path, lines, family):
 
 _ARG = st.one_of(
     st.floats(-2.0, 2.0).map(repr),
-    st.sampled_from(["0", "1", "0.5", "0.4142", "1e-300", "5e-324", "1e300", "nan", "inf",
-                     "-inf", "x", ""]),
+    st.sampled_from(["0", "1", "0.5", "0.4142", "1e-300", "5e-324", "1e300", "1.7e308", "nan",
+                     "inf", "-inf", "x", ""]),
 )
 _STEP = st.sampled_from(["0.1", "0.25", "0.5", "0", "-0.1", "1e-300", "inf", "nan"])
 _FORMAT = st.sampled_from([[], ["--format", "json"], ["--format", "csv"], ["--format", "xml"]])
@@ -385,7 +401,8 @@ _VERIFY = st.tuples(
               .map(lambda t: ["--tol", t])),
 ).map(lambda t: ["verify", "--family", t[0], *t[1], *t[2]])
 _HARMONIC = st.tuples(
-    st.one_of(st.sampled_from(["0,2", "1+1j", "-2,0.5"]), st.tuples(_ARG, _ARG).map(",".join)),
+    st.one_of(st.sampled_from(["0,2", "1+1j", "-2,0.5", "1.7e308,1.7e308"]),
+              st.tuples(_ARG, _ARG).map(",".join)),
     st.one_of(st.sampled_from(["0.5", "1"]), _ARG),
     st.one_of(st.sampled_from(["4", "20"]), _ARG),
     st.one_of(st.sampled_from(["0.3", "0.5", "0.9"]), _ARG),

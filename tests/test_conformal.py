@@ -40,6 +40,18 @@ def test_as_complex_rejects_non_finite(bad):
         as_complex(bad)
 
 
+@pytest.mark.parametrize("bad", [complex(1.7e308, 1.7e308), complex(-1.7e308, 1.3e308)])
+def test_as_complex_rejects_an_overflowing_modulus(bad):
+    # abs(bad) raised OverflowError
+    with pytest.raises(DomainError, match="modulus that overflows"):
+        as_complex(bad)
+
+
+def test_as_complex_keeps_a_large_finite_modulus():
+    z = complex(1e308, -1.2e308)
+    assert as_complex(z) == z
+
+
 # ------------------------------------------------------------- pole parameter
 
 

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from polebounds import (
     DomainError,
     ExcludedDisk,
-    SegmentQuery,
     UnsupportedDomainError,
     WosEstimate,
     arccot,
@@ -124,14 +123,6 @@ def test_omega1_rejects_outside_points():
         hm_omega1(-1 + 0.1j, 1.0, 2.0, 0.5)  # inside the excluded disk's image
     with pytest.raises(DomainError):
         hm_omega1(1 - 1j, 1.0, 2.0, 0.5)
-
-
-def test_segment_query_validation():
-    SegmentQuery(z=2j, a=1.0, b=4.0, p=0.5)
-    with pytest.raises(DomainError):
-        SegmentQuery(z=2j, a=4.0, b=1.0)
-    with pytest.raises(DomainError):
-        SegmentQuery(z=-1 + 0.1j, a=1.0, b=4.0, p=0.5)
 
 
 # -------------------------------------------------------------- cotangent bound

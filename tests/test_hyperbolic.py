@@ -1,4 +1,4 @@
-"""Distances, geodesics, domain predicates, and disk nesting."""
+"""Distances, the excluded disk and its geodesic, domain predicates, and disk nesting."""
 
 import cmath
 import math
@@ -14,15 +14,11 @@ from polebounds import (
     ExcludedDisk,
     alpha_from_p,
     cayley,
-    disk_geodesic_between,
     disk_nesting,
     hyp_dist_disk,
     hyp_dist_to_vertical_segment,
     in_omega,
     in_omega1,
-    on_separating_geodesic,
-    separating_geodesic,
-    separating_geodesic_halfplane,
     vertical_translation,
 )
 
@@ -98,39 +94,34 @@ def test_cayley_is_isometry_via_pullback():
 
 
 @pytest.mark.parametrize("p", [0.1, 0.3, 0.5, 0.7, 0.9, 0.99])
-def test_separating_geodesic_shape(p):
-    g = separating_geodesic(p)
+def test_excluded_disk_circle_shape(p):
+    d = ExcludedDisk.from_pole(p)
     a = alpha_from_p(p)
     h = math.sqrt(1 - a * a)
-    assert g.kind == "arc" and g.ambient == "disk"
-    assert abs(g.endpoints[0] - complex(a, h)) < 1e-14
-    assert abs(g.endpoints[1] - complex(a, -h)) < 1e-14
-    # p lies on the arc; the arc is orthogonal to the unit circle
-    assert abs(abs(complex(p, 0) - g.center) - g.radius) < 1e-12
-    assert abs(g.center) ** 2 - g.radius**2 == pytest.approx(1.0, abs=1e-12)
+    # p lies on the circle; the circle is orthogonal to the unit circle
+    assert abs(d.boundary_gap(complex(p, 0))) < 1e-12
+    assert d.center**2 - d.radius**2 == pytest.approx(1.0, abs=1e-12)
+    # it meets the unit circle at the ideal endpoints alpha +- i sqrt(1 - alpha^2)
+    for e in (complex(a, h), complex(a, -h)):
+        assert abs(abs(e) - 1.0) < 1e-14
+        assert abs(d.boundary_gap(e)) < 1e-14
 
 
 @pytest.mark.parametrize("p", [0.2, 0.5, 0.8])
 def test_halfplane_geodesic_endpoints_and_cayley_image(p):
-    s = separating_geodesic_halfplane(p)
-    assert abs(s.endpoints[0] - (-p)) < 1e-14
-    assert abs(s.endpoints[1] - (-1.0 / p)) < 1e-13
-    assert s.endpoints[0].real * s.endpoints[1].real == pytest.approx(1.0, rel=1e-13)
-    g = separating_geodesic(p)
+    # the Cayley image of the circle has center -c and radius r, and meets the
+    # real axis at -p and -1/p
+    d = ExcludedDisk.from_pole(p)
+    ends = (-d.center + d.radius, -d.center - d.radius)
+    assert abs(ends[0] - (-p)) < 1e-14
+    assert abs(ends[1] - (-1.0 / p)) < 1e-13
+    assert ends[0] * ends[1] == pytest.approx(1.0, rel=1e-13)
     for theta in np.linspace(-1.2, 1.2, 50):
-        z = g.center + g.radius * cmath.exp(1j * theta)
+        z = d.center + d.radius * cmath.exp(1j * theta)
         if abs(z) >= 1.0:
             continue
         w = cayley(z)
-        assert abs(abs(w - s.center) - s.radius) < 1e-10
-
-
-def test_geodesic_between_boundary_points():
-    g = disk_geodesic_between(cmath.exp(0.3j), cmath.exp(2.1j))
-    assert g.kind == "arc"
-    assert abs(g.center) ** 2 - g.radius**2 == pytest.approx(1.0, abs=1e-9)
-    line = disk_geodesic_between(cmath.exp(0.3j), -cmath.exp(0.3j))
-    assert line.kind == "line"
+        assert abs(abs(w + d.center) - d.radius) < 1e-10
 
 
 def test_excluded_disk_invariants():
@@ -148,7 +139,7 @@ def test_origin_and_i_memberships(p):
     assert in_omega(0.0, p)
     assert in_omega1(1j, p)
     assert not in_omega(complex(p, 0), p)  # boundary point
-    assert on_separating_geodesic(complex(p, 0), p)
+    assert abs(ExcludedDisk.from_pole(p).boundary_gap(complex(p, 0))) <= 1e-10
 
 
 def test_omega1_is_cayley_image_of_omega():
