@@ -26,7 +26,6 @@ unimodality in ``q`` is not assumed, which is why the global scan comes first.
 from __future__ import annotations
 
 import math
-import sys
 import warnings
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Context, Decimal
@@ -43,10 +42,8 @@ ANGLE_BOUND_MIN_P = math.sqrt(2.0) - 1.0
 #: The eleven pole locations of the reference table.
 DEFAULT_TABLE_P = (0.999, 0.99, 0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1)
 
-#: Kinds accepted by :func:`minimize_over_q`.
-MINIMIZABLE_KINDS = ("angle", "measure", "limit")
-
-#: arccot arguments beyond this make cot^2 evaluation badly conditioned.
+#: The public scalar bounds warn when their condition number in ``q``, to
+#: leading order ``q / (q - 1)``, exceeds this.
 CONDITION_WARN_THRESHOLD = 1e6
 
 
@@ -63,9 +60,15 @@ class BoundResult:
 
 
 def lower_bound(p: float) -> float:
-    """``(1+p)^2 pi / (4p)``: no valid constant can be smaller."""
+    """``(1+p)^2 pi / (4p)``: no valid constant can be smaller.
+
+    It overflows a double for ``p`` below about 4.4e-309: :class:`DomainError` there.
+    """
     p = _check_unit_interval(p, "p")
-    return (1.0 + p) ** 2 * math.pi / (4.0 * p)
+    value = (1.0 + p) ** 2 * math.pi / (4.0 * p)
+    if value == math.inf:
+        raise DomainError(f"the lower bound overflows at p={p!r}")
+    return value
 
 
 def _scaled_cot_sq(p, q, theta):
@@ -87,34 +90,7 @@ def _measure_formula(p, q):
     At ``p = 1`` it is :func:`limit_bound` exactly: the second term of the
     cotangent bound is ``0.0`` and the prefactor ``(1+p^2)/(2p)`` is ``1.0``.
     """
-    return _measure_from_cot(p, q, _measure_cot(p, q))
-
-
-def _measure_from_cot(p, q, cot):
-    """The measure bound from its cotangent bound ``cot = _measure_cot(p, q)``."""
-    return _scaled_cot_sq(p, q, np.arctan2(1.0, cot))
-
-
-def _checked_measure(p: float, q: float, where: str) -> float:
-    """The measure bound at a checked ``p``, warning when ``cot^2`` is ill-conditioned.
-
-    The warning names the first caller outside this module, through
-    :func:`measure_bound` or the objective of :func:`minimize_over_q` alike.
-    """
-    if not q > 1.0:
-        raise DomainError(f"q must exceed 1, got {q!r}")
-    x = _measure_cot(p, q)
-    if x > CONDITION_WARN_THRESHOLD:
-        frame, stacklevel = sys._getframe(), 1
-        while frame.f_back is not None and frame.f_code.co_filename == __file__:
-            frame, stacklevel = frame.f_back, stacklevel + 1
-        warnings.warn(
-            f"{where}: arccot argument {x:.3g} exceeds {CONDITION_WARN_THRESHOLD:.0e}; "
-            "cot^2 evaluation is badly conditioned",
-            NumericalConditionWarning,
-            stacklevel=stacklevel,
-        )
-    return float(_measure_from_cot(p, q, x))
+    return _scaled_cot_sq(p, q, np.arctan2(1.0, _measure_cot(p, q)))
 
 
 def _check_angle_p(p: float) -> float:
@@ -126,6 +102,42 @@ def _check_angle_p(p: float) -> float:
     return p
 
 
+#: kind -> (check of ``p``, returning the ``p`` to evaluate at; array formula).
+_KINDS = {
+    "angle": (_check_angle_p, _angle_formula),
+    "measure": (lambda p: _check_unit_interval(p, "p"), _measure_formula),
+    "limit": (lambda p: 1.0, _measure_formula),
+}
+
+#: Kinds accepted by :func:`minimize_over_q`.
+MINIMIZABLE_KINDS = tuple(_KINDS)
+
+
+def _checked_bound(kind: str, p: float, q: float) -> float:
+    """One bound at one ``q > 1``: checked, finite, and warned about when ill-conditioned.
+
+    The warning names the caller of the public wrapper, which calls this directly.
+    """
+    check, formula = _KINDS[kind]
+    p = check(p)
+    if not q > 1.0:
+        raise DomainError(f"q must exceed 1, got {q!r}")
+    with np.errstate(all="ignore"):
+        value = float(formula(p, q))
+    if not math.isfinite(value):
+        raise DomainError(f"the {kind} bound overflows at p={p!r}, q={q!r}")
+    # Near q = 1 the bound is ~ c / (q - 1), so d log B / d log q ~ -q / (q - 1).
+    condition = q / (q - 1.0)
+    if condition > CONDITION_WARN_THRESHOLD:
+        warnings.warn(
+            f"{kind}_bound: condition number {condition:.3g} in q exceeds "
+            f"{CONDITION_WARN_THRESHOLD:.0e}; the bound is badly conditioned in q",
+            NumericalConditionWarning,
+            stacklevel=3,
+        )
+    return value
+
+
 def angle_bound(p: float, q: float) -> float:
     """Upper bound from the difference of two subtended-angle terms.
 
@@ -133,20 +145,17 @@ def angle_bound(p: float, q: float) -> float:
     ``(1 - p^2) / (2p)`` reaches 1 and the cotangent argument is no longer
     positive.
     """
-    p = _check_angle_p(p)
-    if not q > 1.0:
-        raise DomainError(f"q must exceed 1, got {q!r}")
-    return float(_angle_formula(p, q))
+    return _checked_bound("angle", p, q)
 
 
 def measure_bound(p: float, q: float) -> float:
     """Upper bound routed through the harmonic-measure cotangent estimate."""
-    return _checked_measure(_check_unit_interval(p, "p"), q, "measure_bound")
+    return _checked_bound("measure", p, q)
 
 
 def limit_bound(q: float) -> float:
     """The ``p -> 1`` limit of :func:`measure_bound`: the analytic-case bound."""
-    return _checked_measure(1.0, q, "limit_bound")
+    return _checked_bound("limit", 1.0, q)
 
 
 def scaled_cot_bound(p: float) -> float:
@@ -207,8 +216,11 @@ def minimize_over_q(p: float, kind: str) -> BoundResult:
     interior; two zoom rounds of 65 points, linear in ``t = log(q - 1)`` over
     the two cells around the previous argmin, take one array call each.
     ``q_star`` is the vertex of the parabola through the last round's best
-    three points, clamped to their bracket; ``value`` is the checked scalar
-    bound there, or at the best sampled point when that is lower.
+    three points, clamped to their bracket; ``value`` is the formula there,
+    or at the best sampled point when that is lower. ``q_star`` lies far
+    from the ill-conditioned ``q -> 1`` corner, so nothing here warns; a scan
+    minimum that overflows (measure bound at ``p`` below ~2.7e-103) raises
+    :class:`DomainError`.
 
     The value is accurate to roundoff. ``q_star`` agrees with a 40-digit
     mpmath argmin to 1.6e-10 relative for the measure bound on ``p`` in
@@ -217,22 +229,17 @@ def minimize_over_q(p: float, kind: str) -> BoundResult:
     (1.3e-9 off at ``p = sqrt(2) - 1 + 1e-3``, 1e-6 at ``+ 1e-6``).
     ``evaluations`` counts the grid, both rounds and the vertex.
     """
-    if kind == "angle":
-        _check_angle_p(p)
-        formula, fn = _angle_formula, lambda q: angle_bound(p, q)
-    elif kind == "measure":
-        _check_unit_interval(p, "p")
-        formula, fn = _measure_formula, lambda q: measure_bound(p, q)
-    elif kind == "limit":
-        p = 1.0
-        formula, fn = _measure_formula, limit_bound
-    else:
+    if kind not in _KINDS:
         raise DomainError(f"kind must be one of {MINIMIZABLE_KINDS}, got {kind!r}")
+    check, formula = _KINDS[kind]
+    p = check(p)
 
-    # The scan sweeps the ill-conditioned q -> 1 corner without the scalar
-    # wrapper's warning; the certified minimum is interior.
+    # The scan sweeps the ill-conditioned q -> 1 corner unwarned; the minimum is interior.
     grid = _Q_GRID
-    i = int(np.argmin(formula(p, grid)))
+    f = formula(p, grid)
+    i = int(np.argmin(f))
+    if not math.isfinite(f[i]):
+        raise DomainError(f"the {kind} bound overflows at p={p!r}")
     if i == 0 or i == len(grid) - 1:
         raise MinimizationError(f"grid minimum sits at the bracket edge (kind={kind!r}, p={p!r})")
     lo, hi = float(grid[i - 1]), float(grid[i + 1])
@@ -252,7 +259,7 @@ def minimize_over_q(p: float, kind: str) -> BoundResult:
     shift = 0.5 * h * (f0 - f2) / curvature if curvature > 0.0 else 0.0
     q_best = 1.0 + math.exp(c)
     q_star = 1.0 + math.exp(c + min(max(shift, -h), h))
-    value, best = fn(q_star), fn(q_best)
+    value, best = float(formula(p, q_star)), float(formula(p, q_best))
     if value > best:
         # The parabola missed a non-parabolic wiggle: keep the sampled point.
         q_star, value = q_best, best

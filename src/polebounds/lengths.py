@@ -59,7 +59,7 @@ from typing import Callable
 import numpy as np
 
 from .bounds import BoundResult, minimize_over_q
-from .conformal import _check_unit_interval
+from .conformal import _check_unit_interval, as_complex
 from .errors import DomainError, PoleProximityError, QuadratureError
 
 #: Curves must stay at least this far from the pole of the integrated map.
@@ -196,25 +196,7 @@ def _segment_feet(a, d, w):
     return s, abs(w - (a + s * d))
 
 
-def segment_curve(z0: complex, z1: complex, label: str = "segment") -> Curve:
-    """The straight segment from ``z0`` to ``z1`` on ``t`` in [0, 1]."""
-    if z0 == z1:
-        raise DomainError("segment endpoints must be distinct")
-    d = complex(z1) - complex(z0)
-
-    def nearest(w):
-        s, dist = _segment_feet(z0, d, w)
-        return (s,), (dist,)
-
-    return Curve(
-        point=lambda t, piece: z0 + t * d,
-        pieces=np.array([[0.0], [1.0], [abs(d)], [0.0], [2.0]]),
-        label=label,
-        nearest=nearest,
-    )
-
-
-def _polyline_curve(polylines) -> Curve:
+def _polyline_curve(polylines, label: str = "polyline") -> Curve:
     """Polylines joined into one curve: their segments in order, each on ``t`` in [0, 1].
 
     Polyline ``i`` is length ``i``; no segment joins one polyline to the
@@ -241,9 +223,14 @@ def _polyline_curve(polylines) -> Curve:
     return Curve(
         point=lambda t, piece: starts[piece, None] + t * steps[piece, None],
         pieces=pieces,
-        label="polyline",
+        label=label,
         nearest=lambda w: _segment_feet(starts, steps, w),
     )
+
+
+def segment_curve(z0: complex, z1: complex, label: str = "segment") -> Curve:
+    """The straight segment from ``z0`` to ``z1`` on ``t`` in [0, 1]."""
+    return _polyline_curve(((z0, z1),), label)
 
 
 _I1 = segment_curve(-1j, 1j, label="I1")
@@ -299,7 +286,7 @@ class TestFunction:
 
 def mobius_family(p: complex) -> TestFunction:
     """``f(z) = 1 / (z - p)``: the simplest univalent map with a pole at ``p``."""
-    p = complex(p)
+    p = as_complex(p)
     if abs(p) >= 1.0:
         raise DomainError("the pole must lie inside the unit disk")
     return TestFunction(
@@ -317,7 +304,7 @@ def koebe_family(p: complex) -> TestFunction:
     is univalent on the disk; the unit circle goes into the extended real
     line, so the image of the left half-circle has finite length.
     """
-    p = complex(p)
+    p = as_complex(p)
     if not 0.0 < abs(p) < 1.0:
         raise DomainError("the pole must lie inside the unit disk and away from 0")
     return TestFunction(

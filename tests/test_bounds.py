@@ -45,6 +45,14 @@ def test_lower_bound_domain():
         lower_bound(1.0)
 
 
+def test_lower_bound_overflow_is_a_domain_error():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="overflows"):
+            lower_bound(5e-324)  # gave inf
+    assert math.isfinite(lower_bound(1e-300))
+
+
 # ----------------------------------------------------------------- angle bound
 
 
@@ -80,13 +88,64 @@ def test_measure_bound_warns_when_ill_conditioned():
 
 
 def test_condition_warning_points_at_the_caller():
-    # through the minimizer as well as directly, the warning names this file
+    # the warning names this file; the minimizer, whose q* lies in [2.97, 5.56],
+    # does not warn even where the arccot argument is 6.28e9
     with pytest.warns(NumericalConditionWarning) as direct:
         measure_bound(0.5, 1.0 + 1e-7)
-    with pytest.warns(NumericalConditionWarning) as minimized:
-        minimize_over_q(1e-10, "measure")
     assert [w.filename for w in direct] == [__file__]
-    assert {w.filename for w in minimized} == {__file__}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        minimize_over_q(1e-10, "measure")
+
+
+def test_angle_and_limit_bounds_warn_when_ill_conditioned():
+    with pytest.warns(NumericalConditionWarning) as caught:
+        angle_bound(0.7, 1.0 + 1e-7)
+        limit_bound(1.0 + 1e-7)
+    assert [w.filename for w in caught] == [__file__] * 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        angle_bound(0.7, 1.0 + 1e-5)  # condition number 1e5: below the threshold
+
+
+def test_condition_rule_matches_mpmath():
+    # the warning's condition number q / (q - 1) against |q B'(q) / B(q)| at 30 digits:
+    # never below it, and within 1e-4 of it at q - 1 = 1e-4
+    cases = [(_mp_measure_bound, p) for p in ("1e-10", "1e-3", "0.5", "0.999", "1")]
+    cases += [(_mp_angle_bound, p) for p in ("0.4143", "0.7", "0.999")]
+    with mp.workdps(30):
+        for bound, p in cases:
+            p = mp.mpf(p)
+            for k in range(-12, 17):
+                q = 1 + mp.mpf(10) ** (mp.mpf(k) / 2)
+                exact = abs(q * mp.diff(lambda x: bound(p, x), q) / bound(p, q))
+                ratio = exact / (q / (q - 1))
+                assert ratio <= 1, (bound.__name__, p, k)
+                if k == -8:
+                    assert ratio >= 0.9999, (bound.__name__, p)
+
+
+@pytest.mark.parametrize(
+    "fn,args",
+    [
+        (measure_bound, (0.5, 1e300)),  # each gave nan
+        (limit_bound, (1e300,)),
+        (angle_bound, (0.5, math.inf)),
+        (measure_bound, (1e-200, 3.0)),  # gave inf
+    ],
+)
+def test_scalar_bounds_raise_where_they_overflow(fn, args):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="overflows"):
+            fn(*args)
+
+
+def test_minimize_overflow_is_a_domain_error():
+    # the scan minimum overflows below p ~ 2.7e-103; it reported a grid edge
+    with np.errstate(all="ignore"), pytest.raises(DomainError, match="overflows"):
+        minimize_over_q(1e-160, "measure")
+    assert math.isfinite(minimize_over_q(1e-100, "measure").value)
 
 
 # ----------------------------------------------------------------- closed form
@@ -268,29 +327,24 @@ def test_q_star_matches_mpmath_argmin(kind, p):
 
 @pytest.mark.parametrize("kind,p", [("measure", 0.5), ("angle", 0.7), ("limit", 1.0)])
 def test_minimize_makes_three_array_calls_and_at_most_two_scalar_calls(monkeypatch, kind, p):
+    # three array calls and then two scalar calls of the same formula, and no public wrapper
     import polebounds.bounds as bounds_mod
 
-    formula_name, scalar_name = {
-        "measure": ("_measure_formula", "measure_bound"),
-        "angle": ("_angle_formula", "angle_bound"),
-        "limit": ("_measure_formula", "limit_bound"),
-    }[kind]
-    sizes, scalar_calls = [], []
+    check, formula = bounds_mod._KINDS[kind]
+    sizes = []
 
-    def counted_formula(p, q, inner=getattr(bounds_mod, formula_name)):
-        if np.ndim(q) > 0:  # angle_bound itself calls the formula on a scalar
-            sizes.append(np.size(q))
-        return inner(p, q)
+    def counted_formula(p, q):
+        sizes.append(np.size(q) if np.ndim(q) else "scalar")
+        return formula(p, q)
 
-    def counted_scalar(*args, inner=getattr(bounds_mod, scalar_name)):
-        scalar_calls.append(args)
-        return inner(*args)
+    def forbidden(*args):
+        raise AssertionError(f"public wrapper called with {args}")
 
-    monkeypatch.setattr(bounds_mod, formula_name, counted_formula)
-    monkeypatch.setattr(bounds_mod, scalar_name, counted_scalar)
+    monkeypatch.setitem(bounds_mod._KINDS, kind, (check, counted_formula))
+    for name in ("angle_bound", "measure_bound", "limit_bound", "_checked_bound"):
+        monkeypatch.setattr(bounds_mod, name, forbidden)
     res = minimize_over_q(p, kind)
-    assert sizes == [len(_Q_GRID), 65, 65]
-    assert 1 <= len(scalar_calls) <= 2
+    assert sizes == [len(_Q_GRID), 65, 65, "scalar", "scalar"]
     assert res.evaluations == len(_Q_GRID) + 2 * 65 + 1
 
 

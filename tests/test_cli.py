@@ -3,6 +3,8 @@
 import contextlib
 import io
 import json
+import re
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -15,6 +17,10 @@ def run(argv):
     out = io.StringIO()
     code = main(argv, out=out)
     return code, out.getvalue()
+
+
+#: How text, csv and json spell a non-finite float.
+_NON_FINITE = re.compile(r"\b(nan|inf|NaN|Infinity)\b")
 
 
 # -------------------------------------------------------------------- parsing
@@ -67,6 +73,24 @@ def test_bounds_domain_error_names_range(capsys):
     code, _ = run(["bounds", "--p", "1.5", "--kind", "lb"])
     assert code == 2
     assert "(0, 1)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("p,kind", [("1e-160", "measure"), ("5e-324", "lb")])
+def test_bounds_overflow_exits_2(p, kind, capsys):
+    # 1e-160 blamed the bracket edge after numpy warnings; 5e-324 printed value=inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        err = _assert_usage_error(["bounds", "--p", p, "--kind", kind], capsys)
+    assert err.count("\n") == 1 and "overflows" in err
+
+
+def test_bounds_at_small_p_writes_nothing_to_stderr(capsys):
+    # it warned of an arccot argument of 6.28e9, yet the value is accurate to 1.3e-16
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, text = run(["bounds", "--p", "1e-10", "--kind", "measure"])
+    assert code == 0 and "value=3.43" in text
+    assert capsys.readouterr().err == ""
 
 
 # ---------------------------------------------------------------------- table
@@ -375,11 +399,12 @@ _INSTANCE = st.tuples(
 def test_arc_file_fuzz_exits_cleanly(tmp_path, lines, family):
     path = tmp_path / "instance.txt"
     path.write_text("\n".join(lines), encoding="utf-8")
-    err = io.StringIO()
+    err, out = io.StringIO(), io.StringIO()
     with contextlib.redirect_stderr(err):
-        code = main(["arc", "--family", family, "--file", str(path)], out=io.StringIO())
+        code = main(["arc", "--family", family, "--file", str(path)], out=out)
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+    assert code != 0 or not _NON_FINITE.search(out.getvalue())
 
 
 _ARG = st.one_of(
@@ -416,8 +441,9 @@ _HARMONIC = st.tuples(
 @settings(max_examples=150, deadline=None)
 @given(argv=st.one_of(_BOUNDS, _TABLE, _VERIFY, _HARMONIC), fmt=_FORMAT)
 def test_cli_fuzz_exits_cleanly(argv, fmt):
-    err = io.StringIO()
+    err, out = io.StringIO(), io.StringIO()
     with contextlib.redirect_stderr(err):
-        code = main(argv + fmt, out=io.StringIO())
+        code = main(argv + fmt, out=out)
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+    assert code != 0 or not _NON_FINITE.search(out.getvalue())

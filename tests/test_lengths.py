@@ -467,6 +467,11 @@ def test_family_pole_validation():
         mobius_family(1.2)
     with pytest.raises(DomainError):
         koebe_family(0.0)
+    # nan passed the mobius check, and abs() raised OverflowError on both
+    for family in (mobius_family, koebe_family):
+        for pole in (math.nan, complex(0.5, math.inf), 1.7e308 + 1.7e308j):
+            with pytest.raises(DomainError):
+                family(pole)
 
 
 # ---------------------------------------------------------------- verification
