@@ -54,7 +54,6 @@ from .errors import (
     PoleBoundsError,
     PoleProximityError,
     QuadratureError,
-    UnsupportedDomainError,
     WalkCapError,
 )
 from .harmonic import (

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import minimize_over_q
-from .conformal import as_complex
+from .conformal import _check_positive, _inside_disk, as_complex
 from .errors import (
     DegenerateGeometryError,
     DomainError,
@@ -60,11 +60,6 @@ _ON_CURVE_TOL = 1e-10
 
 #: Upper bound on the segment pairs the simplicity test holds in memory at once.
 _PAIR_BLOCK = 1 << 16
-
-
-def _strictly_inside(z: complex) -> bool:
-    """``abs(z) < 1``, testing the components first, since ``abs(z)`` can overflow."""
-    return abs(z.real) < 1.0 and abs(z.imag) < 1.0 and abs(z) < 1.0
 
 
 def _orient(a: complex, b: complex, c: complex) -> float:
@@ -138,8 +133,7 @@ class PolylineArc:
         if len(verts) < 2:
             raise DomainError("a polyline arc needs at least two vertices")
         for v in verts:
-            if not _strictly_inside(v):
-                raise DomainError(f"vertex {v} is not strictly inside the unit disk")
+            _inside_disk(v, "vertex {} is not strictly inside the unit disk")
         for u, v in zip(verts, verts[1:]):
             if u == v:
                 raise DomainError("consecutive vertices must be distinct")
@@ -244,10 +238,12 @@ def arc_constant(
     is inside when the arc closed by its axis chord winds around the
     reflected pole ``-conj(s)``, which is where ``J + J^`` winds around ``s``.
     A pole within ``_ON_CURVE_TOL`` of ``J^`` takes the inside branch.
+    ``analytic_constant`` must be positive and finite.
     """
-    ss = as_complex(s)
-    if abs(ss) >= 1.0:
-        raise DomainError("the pole must lie strictly inside the unit disk")
+    analytic_constant = _check_positive(
+        analytic_constant, "the analytic constant must be positive and finite, got {!r}"
+    )
+    ss = _inside_disk(s, "the pole must lie strictly inside the unit disk")
     for v in arc.vertices:
         if ss == v:
             raise DomainError("the pole must not coincide with an arc vertex")
@@ -282,7 +278,7 @@ def arc_constant(
         return ArcConstant(
             branch="inside_hull", constant=minimize_over_q(tau, "measure").value, tau=tau
         )
-    return ArcConstant(branch="outside_hull", constant=float(analytic_constant), tau=tau)
+    return ArcConstant(branch="outside_hull", constant=analytic_constant, tau=tau)
 
 
 @dataclass(frozen=True)
@@ -355,15 +351,12 @@ def normalize_to_axis(
     arc is validated again; endpoints that already lie on the axis are
     returned through the identity, with the given ``arc`` object itself.
     """
-    s, z1, z2 = complex(s), complex(z1), complex(z2)
     if z1 == z2:
         raise DomainError("endpoints must be distinct")
-    for z in (z1, z2):
-        if not _strictly_inside(z):
-            raise DomainError("endpoints must lie strictly inside the unit disk")
+    message = "endpoints must lie strictly inside the unit disk"
+    z1, z2 = _inside_disk(z1, message), _inside_disk(z2, message)
     # The map's pole lies outside the closed disk, so inside it the division is safe.
-    if not _strictly_inside(s):
-        raise DomainError("the pole must lie strictly inside the unit disk")
+    s = _inside_disk(s, "the pole must lie strictly inside the unit disk")
 
     # Each map is (a z + b) / (c z + d), applied with integer coefficients as
     # written (the identity turns a -0.0 component into 0.0), and the composed
@@ -374,9 +367,7 @@ def normalize_to_axis(
     else:
         # Send z1 to 0, find the hyperbolic midpoint of the image pair, recenter, rotate.
         w = (1 * z2 + -z1) / (-z1.conjugate() * z2 + 1)
-        r = abs(w)
-        if not r < 1.0:
-            raise DomainError("endpoints are too close to the unit circle to normalize")
+        r = abs(_inside_disk(w, "endpoints are too close to the unit circle to normalize"))
         mid = (w / r) * (r / (1.0 + math.sqrt(1.0 - r * r)))
         u2 = (1 * w + -mid) / (-mid.conjugate() * w + 1)
         angle = math.pi / 2.0 - math.atan2(u2.imag, u2.real)

@@ -32,7 +32,7 @@ from decimal import ROUND_HALF_UP, Context, Decimal
 
 import numpy as np
 
-from .conformal import _check_unit_interval
+from .conformal import _check_positive, _check_unit_interval
 from .errors import DomainError, MinimizationError, NumericalConditionWarning
 from .harmonic import _measure_cot, arccot
 
@@ -188,14 +188,13 @@ def closed_form_bound(p: float) -> float:
 
 
 def cot_of_scaled_arccot(x: float, k: float) -> float:
-    """``cot(k * arccot(x))`` for ``x > 0`` and ``0 < k < 1``.
+    """``cot(k * arccot(x))`` for finite ``x > 0`` and ``0 < k < 1``.
 
     Strictly convex and increasing in ``x``, with the linear sandwich
 
         cot(k pi/2) + k x / sin^2(k pi/2)  <  value  <  cot(k pi/2) + x / k.
     """
-    if not x > 0.0:
-        raise DomainError(f"x must be positive, got {x!r}")
+    _check_positive(x, "x must be positive and finite, got {!r}")
     if not 0.0 < k < 1.0:
         raise DomainError(f"k must lie in (0, 1), got {k!r}")
     return 1.0 / math.tan(k * arccot(x))

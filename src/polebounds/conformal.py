@@ -39,6 +39,24 @@ def as_complex(z: complex) -> complex:
     return z
 
 
+def _inside_disk(z: complex, message: str) -> complex:
+    """``complex(z)`` strictly inside the unit disk, else ``DomainError(message.format(z))``.
+
+    Testing the components first keeps the modulus from overflowing and rejects nan.
+    """
+    z = complex(z)
+    if not (abs(z.real) < 1.0 and abs(z.imag) < 1.0 and abs(z) < 1.0):
+        raise DomainError(message.format(z))
+    return z
+
+
+def _check_positive(x: float, message: str) -> float:
+    """``float(x)`` for a positive finite ``x``, else ``DomainError(message.format(x))``."""
+    if not 0.0 < x < math.inf:
+        raise DomainError(message.format(x))
+    return float(x)
+
+
 def _check_unit_interval(x: float, name: str) -> float:
     if not 0.0 < x < 1.0:
         raise DomainError(f"{name} must lie in the open interval (0, 1), got {x!r}")

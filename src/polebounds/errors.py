@@ -33,9 +33,5 @@ class MinimizationError(PoleBoundsError):
     """The one-dimensional minimizer could not certify an interior minimum."""
 
 
-class UnsupportedDomainError(PoleBoundsError, ValueError):
-    """The requested domain is not one of the exactly-computable test domains."""
-
-
 class NumericalConditionWarning(UserWarning):
     """Emitted when an evaluation enters a badly conditioned regime."""

@@ -25,9 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conformal import as_complex, omega1_to_halfplane, _check_unit_interval
-from .errors import DomainError, UnsupportedDomainError, WalkCapError
-from .hyperbolic import ExcludedDisk, in_omega1
+from .conformal import _check_positive, _check_unit_interval, as_complex, omega1_to_halfplane
+from .errors import DomainError, WalkCapError
+from .hyperbolic import ExcludedDisk, _omega1_gap, in_omega1
 
 #: Default seed for every stochastic routine; fixed so runs are reproducible.
 DEFAULT_SEED = 1729
@@ -149,8 +149,7 @@ def wos_harmonic_measure(
     zz = as_complex(z)
     if n_walks < 1:
         raise DomainError("n_walks must be at least 1")
-    if not 0.0 < eps < math.inf:
-        raise DomainError(f"eps must be positive and finite, got {eps!r}")
+    _check_positive(eps, "eps must be positive and finite, got {!r}")
     if seed < 0:
         raise DomainError(f"seed must be non-negative, got {seed!r}")
     if not a < b:
@@ -158,15 +157,14 @@ def wos_harmonic_measure(
     if p == 1.0:
         if zz.imag <= 0.0:
             raise DomainError("z must lie in the open upper half-plane")
-        center, radius = 1.0, 0.0
+        disk = ExcludedDisk(p=1.0, center=1.0, radius=0.0)
     else:
         if not 0.0 < a:
             raise DomainError("need 0 < a < b for an Omega1 query")
         if not in_omega1(zz, p):
             raise DomainError("z must lie in Omega1")
         disk = ExcludedDisk.from_pole(p)
-        center, radius = disk.center, disk.radius
-    start = min(zz.imag, abs(zz + center) - radius)
+    start = min(zz.imag, _omega1_gap(zz, disk))
     if not eps < start:
         raise DomainError(
             f"eps={eps!r} must be below the start's distance {start!r} to the boundary"
@@ -181,11 +179,12 @@ def wos_harmonic_measure(
     for _ in range(WOS_STEP_CAP):
         if pts.size == 0:
             break
-        dist = np.minimum(pts.imag, np.abs(pts + center) - radius)
+        gap = _omega1_gap(pts, disk)
+        dist = np.minimum(pts.imag, gap)
         absorb = dist < eps
         if absorb.any():
             zdone = pts[absorb]
-            nearest_on_axis = zdone.imag <= np.abs(zdone + center) - radius
+            nearest_on_axis = zdone.imag <= gap[absorb]
             x = zdone.real
             hits += int(np.count_nonzero(nearest_on_axis & (x >= a) & (x <= b)))
             keep = ~absorb
@@ -216,7 +215,6 @@ class DistanceMeasureCheck:
 
 
 def check_distance_measure_bound(
-    domain: str,
     a: float,
     b: float,
     w: complex,
@@ -226,36 +224,28 @@ def check_distance_measure_bound(
 ) -> DistanceMeasureCheck:
     """Check ``delta_D(w) <= d * cot^2(pi * omega(w, [a, b], D) / 4)``.
 
-    Supported domains are the two where both sides are exactly computable:
-    ``"halfplane"`` and ``"omega1"`` (the latter needs ``p``). The segment
-    ``[a, b]`` must lie on the boundary and inside the closed disk of radius
-    ``d`` around ``w0``, with ``w0`` outside the domain.
+    Both sides are exactly computable for ``D`` = Omega1, given the pole
+    parameter ``p``, and for the upper half-plane, without it. The segment
+    ``[a, b]`` must lie on the boundary and inside the closed disk of positive
+    finite radius ``d`` around ``w0``, with ``w0`` outside ``D``.
     """
     ww, w0c = as_complex(w), as_complex(w0)
     if not a < b:
         raise DomainError("need a < b")
-    if d <= 0.0:
-        raise DomainError("d must be positive")
+    d = _check_positive(d, "d must be positive and finite, got {!r}")
     if max(abs(complex(a, 0.0) - w0c), abs(complex(b, 0.0) - w0c)) > d * (1.0 + 1e-12):
         raise DomainError("segment [a, b] is not contained in the disk B(w0, d)")
 
-    if domain == "halfplane":
+    if p is None:
         if w0c.imag > 0.0:
             raise DomainError("w0 must lie outside the open upper half-plane")
         delta = ww.imag
         measure = hm_halfplane(ww, a, b)
-    elif domain == "omega1":
-        if p is None:
-            raise DomainError("omega1 queries need the pole parameter p")
+    else:
         if in_omega1(w0c, p):
             raise DomainError("w0 must lie outside Omega1")
-        disk = ExcludedDisk.from_pole(p)
-        delta = min(ww.imag, abs(ww + disk.center) - disk.radius)
+        delta = min(ww.imag, _omega1_gap(ww, ExcludedDisk.from_pole(p)))
         measure = hm_omega1(ww, a, b, p)
-    else:
-        raise UnsupportedDomainError(
-            f"domain {domain!r} not supported; use 'halfplane' or 'omega1'"
-        )
 
     bound = d / math.tan(math.pi * measure / 4.0) ** 2
     return DistanceMeasureCheck(

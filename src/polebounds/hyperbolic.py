@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .conformal import as_complex, _check_unit_interval
+from .conformal import _check_unit_interval, _inside_disk, as_complex
 from .errors import DomainError
 
 
@@ -40,6 +40,11 @@ class ExcludedDisk:
         return abs(as_complex(z) - self.center) - self.radius
 
 
+def _omega1_gap(z, disk: ExcludedDisk):
+    """Signed distance from ``z`` (or each entry of an array) to the Omega1 circle."""
+    return abs(z + disk.center) - disk.radius
+
+
 def hyp_dist_disk(z: complex, w: complex) -> float:
     """Hyperbolic distance between two points of the open unit disk.
 
@@ -47,9 +52,8 @@ def hyp_dist_disk(z: complex, w: complex) -> float:
     once both points sit within roughly 1e-13 of the unit circle: the true
     distance then exceeds what doubles can resolve (about 18.4).
     """
-    zz, ww = as_complex(z), as_complex(w)
-    if abs(zz) >= 1.0 or abs(ww) >= 1.0:
-        raise DomainError("hyp_dist_disk needs points strictly inside the unit disk")
+    message = "hyp_dist_disk needs points strictly inside the unit disk"
+    zz, ww = _inside_disk(z, message), _inside_disk(w, message)
     t = abs((zz - ww) / (1.0 - zz * ww.conjugate()))
     return math.inf if t >= 1.0 else math.atanh(t)
 
@@ -67,8 +71,7 @@ def in_omega(z: complex, p: float) -> bool:
 def in_omega1(z: complex, p: float) -> bool:
     """Strict membership in Omega1, the Cayley image of Omega in ``H``."""
     zz = as_complex(z)
-    disk = ExcludedDisk.from_pole(p)
-    return zz.imag > 0.0 and abs(zz + disk.center) - disk.radius > 0.0
+    return zz.imag > 0.0 and _omega1_gap(zz, ExcludedDisk.from_pole(p)) > 0.0
 
 
 def disk_nesting(p1: float, p2: float) -> bool:
@@ -102,9 +105,7 @@ def hyp_dist_to_vertical_segment(s: complex, y1: float, y2: float) -> float:
     overflows nor cancels, and is ``0`` when ``Im s = 0``. The ideal endpoints
     ``+-i`` are at infinite distance, so the clamp stays ``1e-12`` inside them.
     """
-    ss = as_complex(s)
-    if abs(ss) >= 1.0:
-        raise DomainError("s must lie strictly inside the unit disk")
+    ss = _inside_disk(s, "s must lie strictly inside the unit disk")
     if not (-1.0 <= y1 < y2 <= 1.0):
         raise DomainError("need -1 <= y1 < y2 <= 1")
     if ss.real == 0.0 and y1 <= ss.imag <= y2:

@@ -59,7 +59,7 @@ from typing import Callable
 import numpy as np
 
 from .bounds import BoundResult, minimize_over_q
-from .conformal import _check_unit_interval, as_complex
+from .conformal import _check_positive, _check_unit_interval, _inside_disk, as_complex
 from .errors import DomainError, PoleProximityError, QuadratureError
 
 #: Curves must stay at least this far from the pole of the integrated map.
@@ -114,6 +114,10 @@ _RULES = np.stack((_K15, _K15 - _G7), axis=1)
 
 #: Roundoff floor of a panel's error, relative to the panel's integral.
 _ROUNDOFF_FLOOR = 4.0 * np.finfo(float).eps
+
+#: Least speed in a first edge's quotient, which cannot then overflow; a piece
+#: slower than this (a subnormal segment) has its whole span as first edge anyway.
+_TINY = np.finfo(float).tiny
 
 #: A failing panel is replaced by this many equal parts; 4 is two bisection
 #: levels at once.
@@ -286,9 +290,8 @@ class TestFunction:
 
 def mobius_family(p: complex) -> TestFunction:
     """``f(z) = 1 / (z - p)``: the simplest univalent map with a pole at ``p``."""
-    p = as_complex(p)
-    if abs(p) >= 1.0:
-        raise DomainError("the pole must lie inside the unit disk")
+    # as_complex first: a non-finite pole is reported as such
+    p = _inside_disk(as_complex(p), "the pole must lie inside the unit disk")
     return TestFunction(
         id="mobius",
         evaluate=lambda z: 1.0 / (z - p),
@@ -304,9 +307,10 @@ def koebe_family(p: complex) -> TestFunction:
     is univalent on the disk; the unit circle goes into the extended real
     line, so the image of the left half-circle has finite length.
     """
-    p = as_complex(p)
-    if not 0.0 < abs(p) < 1.0:
-        raise DomainError("the pole must lie inside the unit disk and away from 0")
+    message = "the pole must lie inside the unit disk and away from 0"
+    p = _inside_disk(as_complex(p), message)
+    if p == 0.0:
+        raise DomainError(message)
     return TestFunction(
         id="koebe",
         evaluate=lambda z: p * z / ((p - z) * (1.0 - p * z)),
@@ -345,7 +349,7 @@ def _first_panels(curves: tuple[Curve, ...], pole: complex, tol: float):
         start = stop
     lo, hi, speed, length, share, foot, dist, piece = table
     span = hi - lo
-    first = np.minimum(dist * _FIRST / speed, span)
+    first = np.minimum(dist * _FIRST / np.maximum(speed, _TINY), span)
     reach = span / first  # 1 for a piece within its first edge: it stays one panel
     n = min(math.ceil(math.log(reach.max()) / math.log(_RATIO)), _GRADES)
     np.copyto(foot, lo, where=reach <= 1.0)
@@ -438,8 +442,7 @@ def _gauss_kronrod(
 def _image_lengths(
     f: TestFunction, curves: tuple[Curve, ...], tol: float
 ) -> list[tuple[float, float]]:
-    if not 0.0 < tol < math.inf:
-        raise DomainError("tol must be positive and finite")
+    tol = _check_positive(tol, "tol must be positive and finite")
     panels, counts = _first_panels(curves, complex(f.pole), tol)
     return _gauss_kronrod(f.derivative, curves, panels, counts, tol)
 

@@ -10,9 +10,9 @@ PUBLIC_NAMES = [
     "DegenerateGeometryError", "DistanceMeasureCheck", "DomainError", "ExcludedDisk",
     "FAMILIES", "HypothesisViolationError", "MinimizationError", "NormalizedInstance",
     "NumericalConditionWarning", "PoleBoundsError", "PoleProximityError", "PolylineArc",
-    "QuadratureError", "RatioReport", "TableRow", "TestFunction", "UnsupportedDomainError",
-    "WalkCapError", "WosEstimate", "alpha_from_p", "angle_bound", "arc_constant", "arccot",
-    "cayley", "check_distance_measure_bound", "closed_form_bound", "cot_of_scaled_arccot",
+    "QuadratureError", "RatioReport", "TableRow", "TestFunction", "WalkCapError",
+    "WosEstimate", "alpha_from_p", "angle_bound", "arc_constant", "arccot", "cayley",
+    "check_distance_measure_bound", "closed_form_bound", "cot_of_scaled_arccot",
     "disk_nesting", "enclosed_axis_segment", "hm_halfplane", "hm_omega1", "hyp_dist_disk",
     "hyp_dist_to_vertical_segment", "image_curve_length", "in_omega", "in_omega1",
     "koebe_family", "left_half_circle", "limit_bound", "load_polyline_instance",

@@ -245,6 +245,16 @@ def test_outside_branch_real_pole():
     assert not even_odd_inside(0.7 + 0j, loop)
 
 
+@pytest.mark.parametrize("constant", [math.inf, math.nan, 0.0, -5.0])
+@pytest.mark.parametrize("pole", [0.7 + 0j, 0.2 + 0j])
+def test_arc_constant_rejects_an_analytic_constant_not_positive_and_finite(constant, pole):
+    # inf was returned as the outside constant, so every check passed
+    with pytest.raises(DomainError, match="analytic constant"):
+        arc_constant(pole, J_LEFT, analytic_constant=constant)
+    with pytest.raises(DomainError, match="analytic constant"):
+        verify_arc_inequality(mobius_family(pole), J_LEFT, analytic_constant=constant)
+
+
 def test_inside_branch_real_pole():
     sel = arc_constant(0.2 + 0j, J_LEFT)
     assert sel.branch == "inside_hull"

@@ -213,6 +213,9 @@ def test_cot_arccot_domain_errors():
         cot_of_scaled_arccot(-1.0, 0.25)
     with pytest.raises(DomainError):
         cot_of_scaled_arccot(1.0, 1.0)
+    for x in (0.0, math.nan, math.inf):  # inf raised ZeroDivisionError
+        with pytest.raises(DomainError, match="positive and finite"):
+            cot_of_scaled_arccot(x, 0.25)
 
 
 # ------------------------------------------------------------------- minimizer

@@ -7,7 +7,7 @@ import re
 import warnings
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from polebounds.cli import main, parse_complex, parse_grid
@@ -212,6 +212,17 @@ def test_arc_a1_override(tmp_path):
     assert rec["constant"] == 20.0
 
 
+@pytest.mark.parametrize("value", ["inf", "nan", "0", "-5"])
+def test_arc_a1_value_not_positive_and_finite_exits_2(tmp_path, capsys, value):
+    # inf exited 0 with constant=inf passed=True; nan, 0 and -5 exited 1
+    path = tmp_path / "outside.txt"
+    path.write_text("pole 0.7 0.0\n0.0 -0.5\n-0.45 -0.25\n-0.45 0.25\n0.0 0.5\n")
+    err = _assert_usage_error(
+        ["arc", "--file", str(path), "--family", "mobius", "--a1-value", value], capsys
+    )
+    assert err.count("\n") == 1 and "analytic constant" in err
+
+
 def test_arc_missing_file_exits_2():
     code, _ = run(["arc", "--file", "/nonexistent.txt", "--family", "mobius"])
     assert code == 2
@@ -373,6 +384,11 @@ def test_harmonic_all_walks_capped_exits_2(monkeypatch, capsys):
     )
 
 
+_ARG = st.one_of(
+    st.floats(-2.0, 2.0).map(repr),
+    st.sampled_from(["0", "1", "0.5", "0.4142", "1e-300", "5e-324", "1e300", "1.7e308", "nan",
+                     "inf", "-inf", "x", ""]),
+)
 _NUMBER = st.one_of(
     st.integers(-9, 9).map(lambda k: repr(k / 10)),
     st.floats(-1.5, 1.5).map(repr),
@@ -390,28 +406,30 @@ _INSTANCE = st.tuples(
     st.lists(st.one_of(_VERTEX, _JUNK), max_size=6),
     st.sampled_from(["0 0.5", "0.0 0.9", "-0.2 0.6"]),
 ).map(lambda t: [t[0], t[1], *t[2], t[3]])
+# the desk arc with a pole on its outside branch (0.7) or inside it (0.2): these exit 0 or 1
+_DESK = ["0.0 -0.5", "-0.45 -0.25", "-0.45 0.25", "0.0 0.5"]
+_DESK_INSTANCE = st.sampled_from(["pole 0.7 0.0", "pole 0.2 0.0"]).map(lambda h: [h, *_DESK])
 
 
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(lines=st.one_of(_INSTANCE, st.lists(st.one_of(_VERTEX, _JUNK), max_size=6)),
-       family=st.sampled_from(["mobius", "koebe"]))
-def test_arc_file_fuzz_exits_cleanly(tmp_path, lines, family):
+@given(lines=st.one_of(_INSTANCE, _DESK_INSTANCE, st.lists(st.one_of(_VERTEX, _JUNK), max_size=6)),
+       family=st.sampled_from(["mobius", "koebe"]),
+       a1=st.one_of(st.just([]), _ARG.map(lambda v: ["--a1-value", v])),
+       tol=st.one_of(st.just([]), _ARG.map(lambda v: ["--tol", v])))
+# an infinite analytic constant was printed as constant=inf with exit 0
+@example(lines=["pole 0.7 0.0", *_DESK], family="mobius", a1=["--a1-value", "inf"], tol=[])
+def test_arc_file_fuzz_exits_cleanly(tmp_path, lines, family, a1, tol):
     path = tmp_path / "instance.txt"
     path.write_text("\n".join(lines), encoding="utf-8")
     err, out = io.StringIO(), io.StringIO()
     with contextlib.redirect_stderr(err):
-        code = main(["arc", "--family", family, "--file", str(path)], out=out)
+        code = main(["arc", "--family", family, "--file", str(path), *a1, *tol], out=out)
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
     assert code != 0 or not _NON_FINITE.search(out.getvalue())
 
 
-_ARG = st.one_of(
-    st.floats(-2.0, 2.0).map(repr),
-    st.sampled_from(["0", "1", "0.5", "0.4142", "1e-300", "5e-324", "1e300", "1.7e308", "nan",
-                     "inf", "-inf", "x", ""]),
-)
 _STEP = st.sampled_from(["0.1", "0.25", "0.5", "0", "-0.1", "1e-300", "inf", "nan"])
 _FORMAT = st.sampled_from([[], ["--format", "json"], ["--format", "csv"], ["--format", "xml"]])
 _BOUNDS = st.tuples(_ARG, st.sampled_from(["lb", "angle", "closed", "measure", "limit", "x"])).map(

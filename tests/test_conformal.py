@@ -4,14 +4,23 @@ import cmath
 import math
 
 import numpy as np
+import warnings
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polebounds import (
     DomainError,
+    PolylineArc,
     alpha_from_p,
+    arc_constant,
     cayley,
+    hyp_dist_disk,
+    hyp_dist_to_vertical_segment,
+    koebe_family,
+    mobius_family,
+    normalize_to_axis,
     omega_to_disk,
     omega1_to_halfplane,
     p_from_alpha,
@@ -45,6 +54,32 @@ def test_as_complex_rejects_an_overflowing_modulus(bad):
     # abs(bad) raised OverflowError
     with pytest.raises(DomainError, match="modulus that overflows"):
         as_complex(bad)
+
+
+_ARC = PolylineArc((-0.5j, -0.3 + 0j, 0.5j))
+
+#: Every entry that takes a point of the open unit disk, fed the point ``z``.
+_DISK_ENTRIES = {
+    "PolylineArc": lambda z: PolylineArc((-0.5j, z, 0.5j)),
+    "normalize_to_axis pole": lambda z: normalize_to_axis(z, -0.5j, 0.5j),
+    "normalize_to_axis endpoint": lambda z: normalize_to_axis(0.1 + 0j, z, 0.5j),
+    "arc_constant": lambda z: arc_constant(z, _ARC),
+    "hyp_dist_disk first": lambda z: hyp_dist_disk(z, 0.0),
+    "hyp_dist_disk second": lambda z: hyp_dist_disk(0.0, z),
+    "hyp_dist_to_vertical_segment": lambda z: hyp_dist_to_vertical_segment(z, -0.5, 0.5),
+    "mobius_family": mobius_family,
+    "koebe_family": koebe_family,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_DISK_ENTRIES))
+@pytest.mark.parametrize("z", [math.nan, 1.7e308 + 1.7e308j, 1.0, -1j, 0.8 + 0.7j])
+def test_every_disk_entry_rejects_a_point_off_the_open_disk(entry, z):
+    # 0.8 + 0.7j has both components inside (-1, 1) and its modulus outside
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            _DISK_ENTRIES[entry](z)
 
 
 def test_as_complex_keeps_a_large_finite_modulus():

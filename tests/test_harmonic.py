@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from polebounds import (
     DomainError,
     ExcludedDisk,
-    UnsupportedDomainError,
     WosEstimate,
     arccot,
     check_distance_measure_bound,
@@ -289,7 +288,7 @@ def test_wos_input_validation():
 
 
 def test_distance_bound_halfplane_closed_form():
-    chk = check_distance_measure_bound("halfplane", -1.0, 1.0, 1j, d=1.0, w0=0.0)
+    chk = check_distance_measure_bound(-1.0, 1.0, 1j, d=1.0, w0=0.0)
     assert chk.measure == pytest.approx(0.5, abs=1e-15)
     assert chk.delta == pytest.approx(1.0)
     assert chk.bound == pytest.approx((1 + math.sqrt(2)) ** 2, rel=1e-12)
@@ -304,23 +303,41 @@ def test_distance_bound_omega1_random_queries():
         b = a * math.exp(RNG.uniform(0.1, 2))
         w0 = complex(0.5 * (a + b), 0.0)
         d = 0.5 * (b - a)
-        chk = check_distance_measure_bound("omega1", a, b, w, d=d, w0=w0, p=p)
+        chk = check_distance_measure_bound(a, b, w, d=d, w0=w0, p=p)
         assert chk.passed
 
 
 def test_distance_bound_near_boundary_limit():
     for eps in (1e-1, 1e-3, 1e-5):
-        chk = check_distance_measure_bound("halfplane", 1.0, 3.0, complex(2, eps), d=1.0, w0=2.0)
+        chk = check_distance_measure_bound(1.0, 3.0, complex(2, eps), d=1.0, w0=2.0)
         assert chk.passed
         assert chk.measure > 0.9
 
 
 def test_distance_bound_rejects_bad_setups():
-    with pytest.raises(UnsupportedDomainError):
-        check_distance_measure_bound("annulus", 0.0, 1.0, 1j, d=1.0, w0=0.0)
     with pytest.raises(DomainError):
         # segment pokes out of B(w0, d)
-        check_distance_measure_bound("halfplane", -1.0, 5.0, 1j, d=1.0, w0=0.0)
+        check_distance_measure_bound(-1.0, 5.0, 1j, d=1.0, w0=0.0)
     with pytest.raises(DomainError):
         # w0 inside the domain
-        check_distance_measure_bound("halfplane", -1.0, 1.0, 1j, d=2.0, w0=0.5j)
+        check_distance_measure_bound(-1.0, 1.0, 1j, d=2.0, w0=0.5j)
+    with pytest.raises(DomainError):
+        # w0 inside Omega1
+        check_distance_measure_bound(1.0, 2.0, 1.5j, d=2.0, w0=1.5 + 1j, p=0.5)
+    # nan gave bound=nan, passed=False; inf gave passed=True
+    for d in (math.nan, math.inf, 0.0, -1.0):
+        for p in (None, 0.5):
+            with pytest.raises(DomainError, match="d must be positive and finite"):
+                check_distance_measure_bound(1.0, 2.0, 1.5j, d=d, w0=1.5, p=p)
+
+
+def test_distance_bound_domain_follows_p():
+    # no p: the half-plane, where delta is Im w; with p: Omega1, where the
+    # excluded circle is nearer than the real axis
+    w = -0.3 + 0.5j
+    half = check_distance_measure_bound(0.5, 1.0, w, d=0.25, w0=0.75)
+    omega1 = check_distance_measure_bound(0.5, 1.0, w, d=0.25, w0=0.75, p=0.5)
+    assert half.delta == w.imag
+    assert half.measure == hm_halfplane(w, 0.5, 1.0)
+    assert omega1.delta < w.imag
+    assert omega1.measure == hm_omega1(w, 0.5, 1.0, 0.5)
