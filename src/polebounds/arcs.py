@@ -144,14 +144,6 @@ class PolylineArc:
     def endpoints(self) -> tuple[complex, complex]:
         return self.vertices[0], self.vertices[-1]
 
-    def reflected(self) -> "PolylineArc":
-        """Mirror image across the imaginary axis, ``z -> -conj(z)``."""
-        return PolylineArc(tuple(-v.conjugate() for v in self.vertices))
-
-    def distance_to(self, w: complex) -> float:
-        verts = np.array(self.vertices)
-        return float(_segment_feet(verts[:-1], verts[1:] - verts[:-1], w)[1].min())
-
 
 def enclosed_axis_segment(arc: PolylineArc) -> tuple[float, float]:
     """The axis segment enclosed by an arc whose endpoints lie on the axis.

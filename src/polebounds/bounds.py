@@ -34,7 +34,7 @@ import numpy as np
 
 from .conformal import _check_positive, _check_unit_interval
 from .errors import DomainError, MinimizationError, NumericalConditionWarning
-from .harmonic import _measure_cot, arccot
+from .harmonic import _checked_at_q, _measure_cot, arccot
 
 #: Validity threshold for :func:`angle_bound`.
 ANGLE_BOUND_MIN_P = math.sqrt(2.0) - 1.0
@@ -66,9 +66,7 @@ def lower_bound(p: float) -> float:
     """
     p = _check_unit_interval(p, "p")
     value = (1.0 + p) ** 2 * math.pi / (4.0 * p)
-    if value == math.inf:
-        raise DomainError(f"the lower bound overflows at p={p!r}")
-    return value
+    return _check_positive(value, "the lower bound overflows at p={1!r}", p)
 
 
 def _scaled_cot_sq(p, q, theta):
@@ -102,11 +100,18 @@ def _check_angle_p(p: float) -> float:
     return p
 
 
+def _check_p_up_to_one(p: float) -> float:
+    if not 0.0 < p <= 1.0:
+        raise DomainError(f"p must lie in (0, 1], got {p!r}")
+    return float(p)
+
+
 #: kind -> (check of ``p``, returning the ``p`` to evaluate at; array formula).
 _KINDS = {
     "angle": (_check_angle_p, _angle_formula),
     "measure": (lambda p: _check_unit_interval(p, "p"), _measure_formula),
-    "limit": (lambda p: 1.0, _measure_formula),
+    # The limit is the bound at p = 1, for any pole in (0, 1].
+    "limit": (lambda p: _check_p_up_to_one(p) and 1.0, _measure_formula),
 }
 
 #: Kinds accepted by :func:`minimize_over_q`.
@@ -119,13 +124,7 @@ def _checked_bound(kind: str, p: float, q: float) -> float:
     The warning names the caller of the public wrapper, which calls this directly.
     """
     check, formula = _KINDS[kind]
-    p = check(p)
-    if not q > 1.0:
-        raise DomainError(f"q must exceed 1, got {q!r}")
-    with np.errstate(all="ignore"):
-        value = float(formula(p, q))
-    if not math.isfinite(value):
-        raise DomainError(f"the {kind} bound overflows at p={p!r}, q={q!r}")
+    value = _checked_at_q(formula, check(p), q, f"{kind} bound")
     # Near q = 1 the bound is ~ c / (q - 1), so d log B / d log q ~ -q / (q - 1).
     condition = q / (q - 1.0)
     if condition > CONDITION_WARN_THRESHOLD:
@@ -165,8 +164,7 @@ def scaled_cot_bound(p: float) -> float:
     increasing on (0, 1] with supremum 10 at ``p = 1``, which is what makes
     the closed-form relaxation work.
     """
-    if not 0.0 < p <= 1.0:
-        raise DomainError(f"p must lie in (0, 1], got {p!r}")
+    p = _check_p_up_to_one(p)
     num = (((17.0 * p + 50.0) * p + 46.0) * p + 50.0) * p + 17.0
     den = (5.0 * p + 8.0) * p + 5.0
     return num / den
@@ -182,9 +180,7 @@ def closed_form_bound(p: float) -> float:
         value = (1.0 + p * p) / p * (1.0 + math.sqrt(2.0) + 20.0 / (3.0 * p)) ** 2 * math.log(2.0)
     except OverflowError:
         value = math.inf
-    if value == math.inf:
-        raise DomainError(f"the closed-form bound overflows at p={p!r}")
-    return value
+    return _check_positive(value, "the closed-form bound overflows at p={1!r}", p)
 
 
 def cot_of_scaled_arccot(x: float, k: float) -> float:
@@ -193,11 +189,15 @@ def cot_of_scaled_arccot(x: float, k: float) -> float:
     Strictly convex and increasing in ``x``, with the linear sandwich
 
         cot(k pi/2) + k x / sin^2(k pi/2)  <  value  <  cot(k pi/2) + x / k.
+
+    It overflows where ``k * arccot(x)`` is tiny, as at ``x = 1e308, k = 0.25``: DomainError.
     """
     _check_positive(x, "x must be positive and finite, got {!r}")
     if not 0.0 < k < 1.0:
         raise DomainError(f"k must lie in (0, 1), got {k!r}")
-    return 1.0 / math.tan(k * arccot(x))
+    t = math.tan(k * arccot(x))  # 0.0 where k * arccot(x) underflows
+    value = 1.0 / t if t else math.inf
+    return _check_positive(value, "cot(k * arccot(x)) overflows at x={1!r}, k={2!r}", x, k)
 
 
 #: Geometric grid in ``q - 1`` spanning 1e-6 .. 1e8 at 64 points per decade.
@@ -208,6 +208,7 @@ _ZOOM = np.linspace(-1.0, 1.0, 65)
 _ZOOM_ROUNDS = 2
 
 
+@np.errstate(all="ignore")
 def minimize_over_q(p: float, kind: str) -> BoundResult:
     """Minimize one of the ``q``-parameterized bounds over ``q`` in (1, inf).
 
@@ -219,7 +220,8 @@ def minimize_over_q(p: float, kind: str) -> BoundResult:
     or at the best sampled point when that is lower. ``q_star`` lies far
     from the ill-conditioned ``q -> 1`` corner, so nothing here warns; a scan
     minimum that overflows (measure bound at ``p`` below ~2.7e-103) raises
-    :class:`DomainError`.
+    :class:`DomainError`. numpy is silenced here, whatever the caller's error
+    state: the scan overflows at tiny ``p``, the parabola at the largest minima.
 
     The value is accurate to roundoff. ``q_star`` agrees with a 40-digit
     mpmath argmin to 1.6e-10 relative for the measure bound on ``p`` in
@@ -237,8 +239,7 @@ def minimize_over_q(p: float, kind: str) -> BoundResult:
     grid = _Q_GRID
     f = formula(p, grid)
     i = int(np.argmin(f))
-    if not math.isfinite(f[i]):
-        raise DomainError(f"the {kind} bound overflows at p={p!r}")
+    _check_positive(f[i], "the {1} bound overflows at p={2!r}", kind, p)
     if i == 0 or i == len(grid) - 1:
         raise MinimizationError(f"grid minimum sits at the bracket edge (kind={kind!r}, p={p!r})")
     lo, hi = float(grid[i - 1]), float(grid[i + 1])

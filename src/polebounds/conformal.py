@@ -50,10 +50,10 @@ def _inside_disk(z: complex, message: str) -> complex:
     return z
 
 
-def _check_positive(x: float, message: str) -> float:
-    """``float(x)`` for a positive finite ``x``, else ``DomainError(message.format(x))``."""
+def _check_positive(x: float, message: str, *args) -> float:
+    """``float(x)`` for a positive finite ``x``, else ``DomainError(message.format(x, *args))``."""
     if not 0.0 < x < math.inf:
-        raise DomainError(message.format(x))
+        raise DomainError(message.format(x, *args))
     return float(x)
 
 

@@ -91,6 +91,14 @@ def _measure_cot(p, q):
     return first + second
 
 
+@np.errstate(all="ignore")
+def _checked_at_q(formula, p: float, q: float, what: str) -> float:
+    """``formula(p, q)`` at ``q > 1``, numpy silenced: a positive finite float, else DomainError."""
+    if not q > 1.0:
+        raise DomainError(f"q must exceed 1, got {q!r}")
+    return _check_positive(formula(p, q), "the {1} overflows at p={2!r}, q={3!r}", what, p, q)
+
+
 def measure_cot_bound(p: float, q: float) -> float:
     """Closed-form bound for ``cot(pi * omega)`` on the vertical segment.
 
@@ -101,14 +109,7 @@ def measure_cot_bound(p: float, q: float) -> float:
     Strictly positive; tends to ``(q+1)/(q-1)`` as ``p -> 1``. Raises
     :class:`DomainError` where the double overflows (``q`` above ~1e154).
     """
-    p = _check_unit_interval(p, "p")
-    if not q > 1.0:
-        raise DomainError(f"q must exceed 1, got {q!r}")
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        value = float(_measure_cot(p, q))
-    if not math.isfinite(value):
-        raise DomainError(f"the cot bound overflows at p={p!r}, q={q!r}")
-    return value
+    return _checked_at_q(_measure_cot, _check_unit_interval(p, "p"), q, "cot bound")
 
 
 @dataclass(frozen=True)

@@ -224,8 +224,9 @@ def _polyline_curve(polylines, label: str = "polyline") -> Curve:
         pieces[_LENGTH, first:last] = i
         pieces[_SHARE, first:last] = 2.0 / (last - first)
         first = last
+    start_col, step_col = starts[:, None], steps[:, None]
     return Curve(
-        point=lambda t, piece: starts[piece, None] + t * steps[piece, None],
+        point=lambda t, piece: start_col[piece] + t * step_col[piece],
         pieces=pieces,
         label=label,
         nearest=lambda w: _segment_feet(starts, steps, w),

@@ -143,9 +143,69 @@ def test_scalar_bounds_raise_where_they_overflow(fn, args):
 
 def test_minimize_overflow_is_a_domain_error():
     # the scan minimum overflows below p ~ 2.7e-103; it reported a grid edge
-    with np.errstate(all="ignore"), pytest.raises(DomainError, match="overflows"):
+    with pytest.raises(DomainError, match="overflows"):
         minimize_over_q(1e-160, "measure")
     assert math.isfinite(minimize_over_q(1e-100, "measure").value)
+
+
+#: Each bound function at the edge where its double overflows: DomainError,
+#: or the finite value just inside the edge.
+_OVERFLOW_EDGES = [
+    pytest.param(lambda: lower_bound(1e-309), DomainError, id="lower_bound"),
+    pytest.param(lambda: closed_form_bound(1e-103), DomainError, id="closed_form_bound"),
+    pytest.param(lambda: scaled_cot_bound(5e-324), 3.4, id="scaled_cot_bound"),
+    pytest.param(lambda: cot_of_scaled_arccot(1e308, 0.25), DomainError, id="cot_of_scaled_arccot"),
+    # k * arccot(x) underflows to 0: it raised ZeroDivisionError
+    pytest.param(
+        lambda: cot_of_scaled_arccot(1e308, 5e-324), DomainError, id="cot_of_scaled_arccot-zero"
+    ),
+    pytest.param(lambda: angle_bound(0.5, math.inf), DomainError, id="angle_bound"),
+    pytest.param(lambda: measure_bound(1e-200, 3.0), DomainError, id="measure_bound"),
+    pytest.param(lambda: limit_bound(1e300), DomainError, id="limit_bound"),
+    pytest.param(lambda: measure_cot_bound(0.5, 1e155), DomainError, id="measure_cot_bound"),
+    pytest.param(
+        lambda: minimize_over_q(1e-102, "measure").value,
+        3.4329877709808286e306,
+        id="minimize_over_q-finite",
+    ),
+    # the parabola's curvature overflows at this finite minimum
+    pytest.param(
+        lambda: minimize_over_q(3e-103, "measure").value,
+        1.2714769522528371e308,
+        id="minimize_over_q-largest",
+    ),
+    pytest.param(
+        lambda: minimize_over_q(1e-105, "measure"), DomainError, id="minimize_over_q-overflow"
+    ),
+    pytest.param(
+        lambda: table_rows([1e-102])[0].measure_min,
+        3.4329877709808286e306,
+        id="table_rows-finite",
+    ),
+    pytest.param(lambda: table_rows([1e-105]), DomainError, id="table_rows-overflow"),
+]
+
+
+@pytest.mark.parametrize("numpy_state", [{}, {"all": "raise"}], ids=["numpy-warn", "numpy-raise"])
+@pytest.mark.parametrize("call,expect", _OVERFLOW_EDGES)
+def test_overflow_edge_ignores_the_callers_numpy_state(call, expect, numpy_state):
+    # minimize_over_q and table_rows leaked numpy's overflow warnings, or raised
+    # FloatingPointError; cot_of_scaled_arccot returned inf
+    with warnings.catch_warnings(), np.errstate(**numpy_state):
+        warnings.simplefilter("error")
+        if expect is DomainError:
+            with pytest.raises(DomainError, match="overflows"):
+                call()
+        else:
+            assert call() == expect
+
+
+@pytest.mark.parametrize("p", [math.nan, math.inf, 5.0, -1.0, 0.0])
+def test_limit_kind_checks_its_pole(p):
+    # any p gave the p = 1 minimum
+    with pytest.raises(DomainError, match=r"\(0, 1\]"):
+        minimize_over_q(p, "limit")
+    assert minimize_over_q(0.5, "limit") == minimize_over_q(1.0, "limit")
 
 
 # ----------------------------------------------------------------- closed form

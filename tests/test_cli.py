@@ -84,6 +84,25 @@ def test_bounds_overflow_exits_2(p, kind, capsys):
     assert err.count("\n") == 1 and "overflows" in err
 
 
+@pytest.mark.parametrize("p", ["nan", "inf", "5", "-1", "0"])
+def test_bounds_limit_outside_unit_interval_exits_2(p, capsys):
+    # each printed the p = 1 row and exited 0
+    code, text = run(["bounds", "--p", p, "--kind", "limit"])
+    err = capsys.readouterr().err
+    assert code == 2 and text == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "(0, 1]" in err
+
+
+@pytest.mark.parametrize("p", ["1", "0.5"])
+def test_bounds_limit_row_is_pinned(p):
+    code, text = run(["bounds", "--p", p, "--kind", "limit"])
+    assert code == 0
+    assert text == (
+        "p=1.0  kind=limit  value=73.25021041897517  q_star=5.554649469021926  "
+        "evaluations=1028  bracket_lo=5.37144481261109  bracket_hi=5.697588816706491\n"
+    )
+
+
 def test_bounds_at_small_p_writes_nothing_to_stderr(capsys):
     # it warned of an arccot argument of 6.28e9, yet the value is accurate to 1.3e-16
     with warnings.catch_warnings():
