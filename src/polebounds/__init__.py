@@ -49,7 +49,6 @@ from .errors import (
     DegenerateGeometryError,
     DomainError,
     HypothesisViolationError,
-    MinimizationError,
     NumericalConditionWarning,
     PoleBoundsError,
     PoleProximityError,

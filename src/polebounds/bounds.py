@@ -18,9 +18,8 @@ itself is not computable; this module evaluates the known bounds:
 * ``limit_bound``        -- the ``p -> 1`` limit of ``measure_bound``, the
                             bound for the no-pole (analytic) case.
 
-``minimize_over_q`` scans a geometric grid in ``q - 1``, zooms twice around
-the grid argmin and ends at a parabola vertex, all in array calls;
-unimodality in ``q`` is not assumed, which is why the global scan comes first.
+``minimize_over_q`` samples the bracket ``q`` in [2.5, 6.5] in three zooming
+rounds, all in array calls; outside it every bound is monotone in ``q``.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from decimal import ROUND_HALF_UP, Context, Decimal
 import numpy as np
 
 from .conformal import _check_positive, _check_unit_interval
-from .errors import DomainError, MinimizationError, NumericalConditionWarning
+from .errors import DomainError, NumericalConditionWarning
 from .harmonic import _checked_at_q, _measure_cot, arccot
 
 #: Validity threshold for :func:`angle_bound`.
@@ -75,11 +74,17 @@ def _scaled_cot_sq(p, q, theta):
 
 
 def _angle_formula(p, q):
-    """The formula of :func:`angle_bound`, unchecked; ``q`` may be an array."""
-    theta = np.arctan((q - 1.0) / (q + 1.0)) - np.arctan(
-        (1.0 - p * p) * (q - 1.0) / (2.0 * p * (q + 1.0))
-    )
-    return _scaled_cot_sq(p, q, theta)
+    """The formula of :func:`angle_bound`, unchecked; ``q`` may be an array.
+
+    ``atan(x) - atan(k x)``, ``x = (q-1)/(q+1)``, as ``atan((1-k) x / (1 + k x^2))``
+    with ``1 - k = (p - sqrt(2) + 1)(p + sqrt(2) + 1) / (2p)``: nothing cancels near sqrt(2) - 1.
+    """
+    x = (q - 1.0) / (q + 1.0)
+    k = (1.0 - p * p) / (2.0 * p)
+    # sqrt(2) - 1 as the sum of two doubles, so that p - (sqrt(2) - 1) keeps its digits
+    one_minus_k = (p - 0.41421356237309504 - 1.4349369327986523e-17) * (p + 1.0 + math.sqrt(2.0))
+    one_minus_k /= 2.0 * p
+    return _scaled_cot_sq(p, q, np.arctan(one_minus_k * x / (1.0 + k * x * x)))
 
 
 def _measure_formula(p, q):
@@ -200,76 +205,67 @@ def cot_of_scaled_arccot(x: float, k: float) -> float:
     return _check_positive(value, "cot(k * arccot(x)) overflows at x={1!r}, k={2!r}", x, k)
 
 
-#: Geometric grid in ``q - 1`` spanning 1e-6 .. 1e8 at 64 points per decade.
-_Q_GRID = 1.0 + np.geomspace(1e-6, 1e8, 64 * 14 + 1)
+#: The bracket of every minimum in ``t = log(q - 1)``: ``q`` in [2.5, 6.5].
+_T_BRACKET = (math.log(1.5), math.log(5.5))
 
-#: Offsets of one zoom round, in half-widths: 65 points linear in ``t = log(q - 1)``.
-_ZOOM = np.linspace(-1.0, 1.0, 65)
-_ZOOM_ROUNDS = 2
+#: Offsets of one round, in half-widths: 65 points linear in ``t = log(q - 1)``.
+_ROUND = np.linspace(-1.0, 1.0, 65)
+_ROUNDS = 3
 
 
 @np.errstate(all="ignore")
 def minimize_over_q(p: float, kind: str) -> BoundResult:
     """Minimize one of the ``q``-parameterized bounds over ``q`` in (1, inf).
 
-    One array call scans the fixed geometric grid, whose minimum must be
-    interior; two zoom rounds of 65 points, linear in ``t = log(q - 1)`` over
-    the two cells around the previous argmin, take one array call each.
-    ``q_star`` is the vertex of the parabola through the last round's best
-    three points, clamped to their bracket; ``value`` is the formula there,
-    or at the best sampled point when that is lower. ``q_star`` lies far
-    from the ill-conditioned ``q -> 1`` corner, so nothing here warns; a scan
-    minimum that overflows (measure bound at ``p`` below ~2.7e-103) raises
-    :class:`DomainError`. numpy is silenced here, whatever the caller's error
-    state: the scan overflows at tiny ``p``, the parabola at the largest minima.
+    Three rounds of 65 points, linear in ``t = log(q - 1)``, take one array
+    call each: the first spans the bracket ``q`` in [2.5, 6.5], each later one
+    the two cells around the previous argmin (an edge argmin keeps its inner
+    neighbour's). ``q_star`` is the vertex of the parabola through the last
+    round's best three points, or that best point when its value is lower.
+    ``bracket`` is the first round's two cells around its argmin.
 
-    The value is accurate to roundoff. ``q_star`` agrees with a 40-digit
-    mpmath argmin to 1.6e-10 relative for the measure bound on ``p`` in
-    (1e-3, 0.999), and to 2e-10 for the angle bound at ``p >= 0.43``. Near
-    ``sqrt(2) - 1`` the angle difference cancels and the flat minimum blurs
-    (1.3e-9 off at ``p = sqrt(2) - 1 + 1e-3``, 1e-6 at ``+ 1e-6``).
-    ``evaluations`` counts the grid, both rounds and the vertex.
+    Proven (``S = d log B / dt`` in ``mpmath.iv``, ``tests/test_bounds.py``):
+    for every pole of every kind, ``S < 0`` on [1 + 1e-6, 2.5] and ``S > 0``
+    on [6.5, 1 + 1e8]. Assumed: the minimum lies in the two cells around the
+    first round's argmin. numpy is silenced, whatever the caller's state;
+    a minimum that overflows (measure, ``p`` below ~2.7e-103) is a DomainError.
+
+    The value is accurate to roundoff, and ``q_star`` within 2e-10 of a
+    40-digit mpmath argmin for the measure bound at ``p`` in [1e-100, 0.999]
+    and the angle bound at ``p >= sqrt(2) - 1 + 1e-6``.
     """
     if kind not in _KINDS:
         raise DomainError(f"kind must be one of {MINIMIZABLE_KINDS}, got {kind!r}")
     check, formula = _KINDS[kind]
     p = check(p)
 
-    # The scan sweeps the ill-conditioned q -> 1 corner unwarned; the minimum is interior.
-    grid = _Q_GRID
-    f = formula(p, grid)
-    i = int(np.argmin(f))
-    _check_positive(f[i], "the {1} bound overflows at p={2!r}", kind, p)
-    if i == 0 or i == len(grid) - 1:
-        raise MinimizationError(f"grid minimum sits at the bracket edge (kind={kind!r}, p={p!r})")
-    lo, hi = float(grid[i - 1]), float(grid[i + 1])
-
-    # Each round spans the two cells around the previous argmin: centre c, half-width h.
-    a, b = math.log(lo - 1.0), math.log(hi - 1.0)
+    a, b = _T_BRACKET
     c, h = 0.5 * (a + b), 0.5 * (b - a)
-    for _ in range(_ZOOM_ROUNDS):
-        t = c + h * _ZOOM
+    for i in range(_ROUNDS):
+        t = c + h * _ROUND
         f = formula(p, 1.0 + np.exp(t))
-        # An argmin on the round's edge keeps its inner neighbour's two cells.
-        k = min(max(int(np.argmin(f)), 1), len(_ZOOM) - 2)
-        c, h = float(t[k]), 2.0 * h / (len(_ZOOM) - 1)
+        k = min(max(int(np.argmin(f)), 1), len(_ROUND) - 2)
+        if i == 0:
+            bracket = (1.0 + math.exp(t[k - 1]), 1.0 + math.exp(t[k + 1]))
+        c, h = float(t[k]), 2.0 * h / (len(_ROUND) - 1)
 
-    f0, f1, f2 = f[k - 1], f[k], f[k + 1]
+    # Relative to the middle value, so that the curvature cannot overflow.
+    f0, f1, f2 = f[k - 1 : k + 2] / f[k]
     curvature = f0 - 2.0 * f1 + f2
     shift = 0.5 * h * (f0 - f2) / curvature if curvature > 0.0 else 0.0
     q_best = 1.0 + math.exp(c)
     q_star = 1.0 + math.exp(c + min(max(shift, -h), h))
     value, best = float(formula(p, q_star)), float(formula(p, q_best))
-    if value > best:
-        # The parabola missed a non-parabolic wiggle: keep the sampled point.
+    if not value <= best:
+        # The parabola missed a non-parabolic wiggle, or overflowed: keep the sampled point.
         q_star, value = q_best, best
     return BoundResult(
         p=p,
         kind=kind,
-        value=value,
+        value=_check_positive(value, "the {1} bound overflows at p={2!r}", kind, p),
         q_star=q_star,
-        evaluations=len(grid) + _ZOOM_ROUNDS * len(_ZOOM) + 1,
-        bracket=(lo, hi),
+        evaluations=_ROUNDS * len(_ROUND) + 1,
+        bracket=bracket,
     )
 
 

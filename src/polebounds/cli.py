@@ -23,8 +23,6 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import arcs, bounds, harmonic, lengths
 from .errors import PoleBoundsError
 
@@ -297,9 +295,7 @@ def main(argv=None, out=None) -> int:
               file=sys.stderr)
         return EXIT_USAGE
     try:
-        # A value that overflows is reported as a DomainError, not as numpy warnings.
-        with np.errstate(all="ignore"):
-            return args.func(args, out)
+        return args.func(args, out)
     except (PoleBoundsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

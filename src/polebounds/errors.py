@@ -29,9 +29,5 @@ class WalkCapError(PoleBoundsError, ArithmeticError):
     """Every walk-on-spheres walk hit the step cap, leaving no estimate."""
 
 
-class MinimizationError(PoleBoundsError):
-    """The one-dimensional minimizer could not certify an interior minimum."""
-
-
 class NumericalConditionWarning(UserWarning):
     """Emitted when an evaluation enters a badly conditioned regime."""

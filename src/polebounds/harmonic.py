@@ -3,9 +3,9 @@
 Exact evaluation on the upper half-plane uses the subtended-angle formula;
 on Omega1 it pulls back through the conformal map ``psi`` of
 :func:`polebounds.conformal.omega1_to_halfplane`, which sends positive-axis
-segments to positive-axis segments. The walk-on-spheres estimator is an
-independent stochastic oracle for the same quantities: it never touches the
-exact formulas.
+segments to positive-axis segments; each is one ``atan2`` in which nothing
+cancels. The walk-on-spheres estimator is an independent stochastic oracle
+for the same quantities: it never touches the exact formulas.
 
 ``measure_cot_bound`` is the closed-form upper bound for ``cot(pi * omega)``
 on the vertical segment ``[ia, ib]``; together with the half-plane comparison
@@ -20,12 +20,11 @@ for ``z`` on ``[ia, ib]``. The arccot convention everywhere is
 from __future__ import annotations
 
 import math
-from cmath import phase
 from dataclasses import dataclass
 
 import numpy as np
 
-from .conformal import _check_positive, _check_unit_interval, as_complex, omega1_to_halfplane
+from .conformal import _check_positive, _check_unit_interval, as_complex
 from .errors import DomainError, WalkCapError
 from .hyperbolic import ExcludedDisk, _omega1_gap, in_omega1
 
@@ -44,19 +43,7 @@ def arccot(x: float) -> float:
     return math.atan2(1.0, x)
 
 
-def hm_halfplane(z: complex, a: float, b: float) -> float:
-    """Harmonic measure of the segment ``[a, b]`` seen from ``z`` in ``H``.
-
-    Equals ``1/pi`` times the angle subtended by the segment at ``z``;
-    additive over adjacent segments.
-    """
-    zz = as_complex(z)
-    if zz.imag <= 0.0:
-        raise DomainError("z must lie in the open upper half-plane")
-    if not a < b:
-        raise DomainError("need a < b")
-    # Both z-a and z-b lie in H, so the phase difference is already in (0, pi).
-    w = (phase(zz - b) - phase(zz - a)) / math.pi
+def _check_measure(w: float) -> float:
     if not 0.0 < w < 1.0:
         # e.g. z = 1e-300j or z = 1e300j: the angle rounds to 0 or pi.
         raise DomainError(
@@ -66,20 +53,68 @@ def hm_halfplane(z: complex, a: float, b: float) -> float:
     return w
 
 
+def hm_halfplane(z: complex, a: float, b: float) -> float:
+    """Harmonic measure of the segment ``[a, b]`` seen from ``z`` in ``H``.
+
+    Equals ``1/pi`` times the angle subtended by the segment at ``z``;
+    additive over adjacent segments. The angle's sine and cosine are divided
+    by ``|z - a| |z - b|`` factor by factor, so no finite input overflows.
+    """
+    zz = as_complex(z)
+    if zz.imag <= 0.0:
+        raise DomainError("z must lie in the open upper half-plane")
+    if not -math.inf < a < b < math.inf:
+        raise DomainError("need finite a < b")
+    # A quarter of each input keeps every difference finite; the angle is scale-free.
+    s = 0.25 if max(abs(zz.real), zz.imag, -a, b) > 2.0**1020 else 1.0
+    x, y, a, b = s * zz.real, s * zz.imag, s * a, s * b
+    if not y:  # Im z below 2e-323 next to an input beyond 1e307: the angle is 0 or pi
+        return _check_measure(0.0)
+    xa, xb = x - a, x - b
+    ra, rb = math.hypot(xa, y), math.hypot(xb, y)
+    sine = (b - a) / max(ra, rb) * (y / min(ra, rb))
+    cosine = xa / ra * (xb / rb) + y / ra * (y / rb)
+    return _check_measure(math.atan2(sine, cosine) / math.pi)
+
+
 def hm_omega1(z: complex, a: float, b: float, p: float) -> float:
     """Harmonic measure of ``[a, b]`` seen from ``z`` in Omega1.
 
-    Exact by conformal invariance: ``psi`` maps Omega1 onto ``H`` and the
-    segment onto ``[psi(a), psi(b)]``.
+    Exact by conformal invariance: ``psi = r^2``, ``r(x) = (x + p) / (x + 1/p)``,
+    maps Omega1 onto ``H`` and the segment onto ``[psi(a), psi(b)]``. So the
+    measure is ``arg(1 + (psi(a) - psi(b)) / (psi(z) - psi(a))) / pi``, or minus
+    that with ``a, b`` swapped, whichever has the shorter ``psi(z) - psi(.)``.
+    ``psi(z)`` rounds to 1 far away, so differences are built from
+    ``r(y) - r(x) = k (y - x) / ((x + 1/p)(y + 1/p))``, ``k = 1/p - p``.
     """
     zz = as_complex(z)
-    if not 0.0 < a < b:
+    if not 0.0 < a < b < math.inf:
         raise DomainError("need 0 < a < b")
     if not in_omega1(zz, p):
         raise DomainError("z must lie in Omega1")
-    pa = omega1_to_halfplane(complex(a, 0.0), p).real
-    pb = omega1_to_halfplane(complex(b, 0.0), p).real
-    return hm_halfplane(omega1_to_halfplane(zz, p), pa, pb)
+    inv = 1.0 / p
+    k = inv - p
+    # Re r(z) from the quotient, Im r(z) = k Im z / |z + 1/p|^2: neither cancels
+    m = math.hypot(zz.real + inv, zz.imag)
+    rz = complex(((zz + p) / (zz + inv)).real, k / m * (zz.imag / m))
+
+    def psi_from(x):  # psi(z) - psi(x) and r(x); near x, r(z) - r(x) as one quotient
+        rx = (x + p) / (x + inv)
+        if math.hypot(zz.real - x, zz.imag) < x + inv:
+            diff = k / (x + inv) * ((zz - x) / (zz + inv))
+        else:
+            diff = k / (x + inv) - k / (zz + inv)
+        return complex(diff.real * (rz.real + rx) - rz.imag * rz.imag, 2.0 * rz.real * rz.imag), rx
+
+    (wa, ra), (wb, rb) = psi_from(a), psi_from(b)
+    # hypot, as abs() of a complex raises OverflowError
+    shorter = math.hypot(wa.real, wa.imag) <= math.hypot(wb.real, wb.imag)
+    w, sign = (-wa, 1.0) if shorter else (wb, -1.0)
+    if not w:
+        raise DomainError("z is too close to an endpoint of the segment to resolve the measure")
+    # (psi(b) - psi(a)) / w, with its small factor last so that nothing underflows early
+    delta = (ra + rb) / w * ((b - a) / (b + inv)) * (k / (a + inv))
+    return _check_measure(sign * math.atan2(delta.imag, 1.0 + delta.real) / math.pi)
 
 
 def _measure_cot(p, q):

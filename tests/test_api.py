@@ -8,7 +8,7 @@ PUBLIC_NAMES = [
     "ANGLE_BOUND_MIN_P", "ArcConstant", "ArcReport", "BoundResult", "Curve",
     "DEFAULT_ANALYTIC_CONSTANT", "DEFAULT_SEED", "DEFAULT_TABLE_P",
     "DegenerateGeometryError", "DistanceMeasureCheck", "DomainError", "ExcludedDisk",
-    "FAMILIES", "HypothesisViolationError", "MinimizationError", "NormalizedInstance",
+    "FAMILIES", "HypothesisViolationError", "NormalizedInstance",
     "NumericalConditionWarning", "PoleBoundsError", "PoleProximityError", "PolylineArc",
     "QuadratureError", "RatioReport", "TableRow", "TestFunction", "WalkCapError",
     "WosEstimate", "alpha_from_p", "angle_bound", "arc_constant", "arccot", "cayley",

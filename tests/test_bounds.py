@@ -10,7 +10,6 @@ import pytest
 from polebounds import (
     ANGLE_BOUND_MIN_P,
     DomainError,
-    MinimizationError,
     NumericalConditionWarning,
     angle_bound,
     closed_form_bound,
@@ -23,7 +22,7 @@ from polebounds import (
     scaled_cot_bound,
     table_rows,
 )
-from polebounds.bounds import _Q_GRID, _angle_formula, _measure_formula, round_half_up
+from polebounds.bounds import _angle_formula, _measure_formula, round_half_up
 
 RNG = np.random.default_rng(123)
 
@@ -163,15 +162,16 @@ _OVERFLOW_EDGES = [
     pytest.param(lambda: measure_bound(1e-200, 3.0), DomainError, id="measure_bound"),
     pytest.param(lambda: limit_bound(1e300), DomainError, id="limit_bound"),
     pytest.param(lambda: measure_cot_bound(0.5, 1e155), DomainError, id="measure_cot_bound"),
+    # 40-digit mpmath minima: 3.43298777098082996e306 and 1.27147695221512196e308
     pytest.param(
         lambda: minimize_over_q(1e-102, "measure").value,
-        3.4329877709808286e306,
+        3.43298777098083e306,
         id="minimize_over_q-finite",
     ),
-    # the parabola's curvature overflows at this finite minimum
+    # the parabola's curvature would overflow at this finite minimum
     pytest.param(
         lambda: minimize_over_q(3e-103, "measure").value,
-        1.2714769522528371e308,
+        1.2714769522151221e308,
         id="minimize_over_q-largest",
     ),
     pytest.param(
@@ -179,7 +179,7 @@ _OVERFLOW_EDGES = [
     ),
     pytest.param(
         lambda: table_rows([1e-102])[0].measure_min,
-        3.4329877709808286e306,
+        3.43298777098083e306,
         id="table_rows-finite",
     ),
     pytest.param(lambda: table_rows([1e-105]), DomainError, id="table_rows-overflow"),
@@ -338,10 +338,11 @@ _FORMULAS = {
 )
 def test_array_formula_matches_scalar_wrapper_on_grid(kind, p):
     formula, scalar = _FORMULAS[kind]
+    grid = 1.0 + np.geomspace(1e-6, 1e8, 64 * 14 + 1)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NumericalConditionWarning)
-        ref = np.array([scalar(p, float(q)) for q in _Q_GRID])
-    values = formula(p, _Q_GRID)
+        ref = np.array([scalar(p, float(q)) for q in grid])
+    values = formula(p, grid)
     np.testing.assert_allclose(values, ref, rtol=1e-12, atol=0.0)
     assert np.argmin(values) == np.argmin(ref)
 
@@ -374,14 +375,15 @@ def _mp_angle_bound(p, q):
 
 @pytest.mark.parametrize(
     "kind,p",
-    [("measure", p) for p in (0.999, 0.5, 0.1, 0.01, 1e-4)]
-    + [("angle", p) for p in (0.999, 0.7, 0.5)],
+    [("measure", p) for p in (0.999, 0.5, 0.1, 0.01, 1e-4, 1e-10, 1e-100)]
+    + [("angle", p) for p in (0.999, 0.7, 0.5, ANGLE_BOUND_MIN_P + 1e-3)],
 )
 def test_q_star_matches_mpmath_argmin(kind, p):
-    # the mpmath argmin is the root of the derivative in t = log(q - 1), from a 1/16 scan in t
+    # the mpmath argmin is the root of the derivative of log B in t = log(q - 1), from a
+    # 1/16 scan in t; the log keeps the root's tolerance relative at p = 1e-100
     bound = {"measure": _mp_measure_bound, "angle": _mp_angle_bound}[kind]
     with mp.workdps(40):
-        g = lambda t: bound(mp.mpf(p), 1 + mp.exp(t))
+        g = lambda t: mp.log(bound(mp.mpf(p), 1 + mp.exp(t)))
         start = min((mp.mpf(k) / 16 for k in range(-224, 304)), key=g)
         q_min = 1 + mp.exp(mp.findroot(lambda t: mp.diff(g, t), start))
     res = minimize_over_q(p, kind)
@@ -407,8 +409,8 @@ def test_minimize_makes_three_array_calls_and_at_most_two_scalar_calls(monkeypat
     for name in ("angle_bound", "measure_bound", "limit_bound", "_checked_bound"):
         monkeypatch.setattr(bounds_mod, name, forbidden)
     res = minimize_over_q(p, kind)
-    assert sizes == [len(_Q_GRID), 65, 65, "scalar", "scalar"]
-    assert res.evaluations == len(_Q_GRID) + 2 * 65 + 1
+    assert sizes == [65, 65, 65, "scalar", "scalar"]
+    assert res.evaluations == 196
 
 
 def _iv_measure_bound(p, q):
@@ -439,15 +441,6 @@ def test_table_measure_minima_are_certified_by_interval_enclosures():
 def test_minimize_rejects_unknown_kind():
     with pytest.raises(DomainError):
         minimize_over_q(0.5, "nonsense")
-
-
-def test_minimize_reports_edge_minimum(monkeypatch):
-    import polebounds.bounds as bounds_mod
-
-    # truncate the scan short of the true minimizer (q* ~ 4.74 at p = 0.5)
-    monkeypatch.setattr(bounds_mod, "_Q_GRID", 1.0 + np.geomspace(1e-6, 2.0, 50))
-    with pytest.raises(MinimizationError):
-        minimize_over_q(0.5, "measure")
 
 
 def test_minimize_propagates_domain_error():
@@ -527,3 +520,117 @@ def test_round_half_up_keeps_large_values():
     # 28 significant digits, the default decimal precision, raised InvalidOperation here
     for x in (1.2345678901234567e25, 3.4329877709808314e114, 1.7976931348623157e308):
         assert round_half_up(x) == x
+
+
+# ------------------------------------------------- where the minima lie (certificate)
+#
+# With t = log(q - 1), e = q - 1 and S = d log B / dt, each bound has
+#
+#     S = A(e) + tail,    A(e) = e / (q log q),
+#
+# where the tail depends on the pole. Both tails are written so that they are
+# smooth on closed pole ranges: the measure tail in p on [0, 1] (p = 1 is the
+# limit kind), the angle tail in k = (1 - p^2) / (2p) on [0, 1], which is
+# p on [sqrt(2) - 1, 1]. A is decreasing (its derivative has the sign of
+# log q - (q - 1) < 0), so on [e0, e1] it lies between A(e1) and A(e0).
+
+
+def _iv_first_term(e):
+    e = mp.iv.mpf(e)
+    q = 1 + e
+    return e / (q * mp.iv.log(q))
+
+
+def _iv_measure_tail(p, e):
+    # With c = p * e * cot bound (finite at e = 0 and at p = 0) and R = sqrt(p^2 e^2 + c^2),
+    # the tail is (e c' - c) sqrt(2R(R + c)) / R^2, and e c' - c = (1-p^2)^2 N / (2D^2) - 2p.
+    iv = mp.iv
+    q = 1 + e
+    sq, pp = iv.sqrt(q), p * p
+    d = 4 * p * sq + (1 + q) * (1 + pp)
+    w = (1 - pp) ** 2
+    c = p * (q + 1) + w * (1 + q * q) / (2 * d)
+    n = 2 * p * (q + 1) * (q * q - 4 * q + 1) / sq - 4 * (1 + pp) * q
+    r2 = pp * e * e + c * c
+    r = iv.sqrt(r2)
+    return (w * n / (2 * d * d) - 2 * p) * iv.sqrt(2 * r * (r + c)) / r2
+
+
+def _iv_angle_tail(k, e):
+    # theta = atan(s) with s = (1-k) x / (1 + k x^2) and x = e / (2 + e);
+    # theta' / sin(theta/2) has 1 - k divided out, so k = 1 is smooth.
+    iv = mp.iv
+    x = e / (2 + e)
+    kx2 = k * x * x
+    s2 = ((1 - k) * x / (1 + kx2)) ** 2
+    r = iv.sqrt(1 + s2)
+    return -2 * (1 - kx2) / ((2 + e) * (1 + kx2)) * iv.sqrt(2 * r * (r + 1)) / (1 + s2)
+
+
+def _sign_certified(tail, sign, poles, e_range, max_boxes):
+    """Boxes it took to prove ``sign * S > 0`` on ``poles x e_range``; None past ``max_boxes``.
+
+    Every enclosure is an ``mpmath.iv`` one. A box that fails is split at the
+    geometric mean of its ``e`` range and, unless its pole range is a point,
+    at the middle of that.
+    """
+    boxes = [(*poles, *e_range)]
+    done = 0
+    while boxes:
+        if done == max_boxes:
+            return None
+        done += 1
+        p0, p1, e0, e1 = boxes.pop()
+        s = _iv_first_term(e1 if sign > 0 else e0) + tail(mp.iv.mpf([p0, p1]), mp.iv.mpf([e0, e1]))
+        if (s.a > 0) if sign > 0 else (s.b < 0):
+            continue
+        em = mp.sqrt(e0 * e1)
+        halves = [(p0, p1)] if p0 == p1 else [(p0, (p0 + p1) / 2), ((p0 + p1) / 2, p1)]
+        boxes += [(*h, *es) for h in halves for es in ((e0, em), (em, e1))]
+    return done
+
+
+_TAILS = {"measure": _iv_measure_tail, "angle": _iv_angle_tail}
+
+#: q - 1 where each bound falls (1e-6 rounded down) and where it rises: the
+#: range of the former global scan, outside the minimizer's bracket [2.5, 6.5].
+_FALLS = (mp.mpf(mp.iv.mpf("1e-6").a), mp.mpf(1.5))
+_RISES = (mp.mpf(5.5), mp.mpf(10) ** 8)
+
+
+@pytest.mark.parametrize("kind", ["measure", "angle"])
+@pytest.mark.parametrize("sign,e_range", [(-1, _FALLS), (1, _RISES)], ids=["falls", "rises"])
+def test_every_bound_falls_below_and_rises_above_the_bracket(kind, sign, e_range):
+    # a proof over every pole: p in [0, 1] for the measure and limit kinds,
+    # k in [0, 1] (p in [sqrt(2) - 1, 1]) for the angle kind
+    poles = (mp.mpf(0), mp.mpf(1))
+    assert _sign_certified(_TAILS[kind], sign, poles, e_range, max_boxes=20_000) is not None
+
+
+@pytest.mark.parametrize(
+    "kind,pole,q_range",
+    [("measure", 0.5, (4, 5)), ("angle", 0.75, (3, 4))],  # k = 0.75 is p = 0.5
+)
+def test_certificate_fails_on_a_box_around_the_minimum(kind, pole, q_range):
+    # at p = 0.5 the minima lie at q* = 4.74 (measure) and 3.38 (angle), where S
+    # changes sign: neither sign is provable on a q range around them
+    poles, e_range = (mp.mpf(pole),) * 2, tuple(mp.mpf(q - 1) for q in q_range)
+    for sign in (-1, 1):
+        assert _sign_certified(_TAILS[kind], sign, poles, e_range, max_boxes=300) is None
+
+
+@pytest.mark.parametrize(
+    "kind,p,q",
+    [("measure", p, q) for p in ("1e-6", "0.3", "0.999") for q in ("1.001", "2", "7", "1e6")]
+    + [("angle", p, q) for p in ("0.4143", "0.7", "1") for q in ("1.001", "2", "7", "1e6")],
+)
+def test_certified_slope_is_the_derivative_of_log_bound(kind, p, q):
+    # the closed forms above against mpmath's derivative of log B in t, at 30 digits
+    bound = {"measure": _mp_measure_bound, "angle": _mp_angle_bound}[kind]
+    with mp.workdps(30):
+        p, q = mp.mpf(p), mp.mpf(q)
+        exact = mp.diff(lambda t: mp.log(bound(p, 1 + mp.exp(t))), mp.log(q - 1))
+    pole = p if kind == "measure" else (1 - p * p) / (2 * p)
+    e = mp.iv.mpf(q - 1)
+    s = _iv_first_term(e) + _TAILS[kind](mp.iv.mpf(pole), e)
+    assert abs(s.mid - exact) <= 1e-12 * (1 + abs(exact))

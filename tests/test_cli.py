@@ -95,11 +95,12 @@ def test_bounds_limit_outside_unit_interval_exits_2(p, capsys):
 
 @pytest.mark.parametrize("p", ["1", "0.5"])
 def test_bounds_limit_row_is_pinned(p):
+    # 40-digit mpmath: value 73.25021041897515431, q_star 5.5546494688013769
     code, text = run(["bounds", "--p", p, "--kind", "limit"])
     assert code == 0
     assert text == (
-        "p=1.0  kind=limit  value=73.25021041897517  q_star=5.554649469021926  "
-        "evaluations=1028  bracket_lo=5.37144481261109  bracket_hi=5.697588816706491\n"
+        "p=1.0  kind=limit  value=73.25021041897514  q_star=5.554649468956085  "
+        "evaluations=196  bracket_lo=5.489472115754262  bracket_hi=5.675507529098265\n"
     )
 
 
@@ -390,8 +391,28 @@ def test_arc_binary_file_exits_2(tmp_path, capsys):
 
 
 def test_harmonic_unresolvable_angle_exits_2(capsys):
-    _assert_usage_error(["harmonic", "--z", "0,1e-300", "--a", "1", "--b", "4", "--p", "0.5"],
-                        capsys)
+    # the measure is 1.0e-501, below every double; z = 1e-300j with [1, 4] exited 2 here
+    # too, though its measure 1.99e-301 is a double (see test_harmonic_extreme_queries)
+    _assert_usage_error(
+        ["harmonic", "--z", "0,1e-300", "--a", "1e200", "--b", "2e200", "--p", "0.5"], capsys
+    )
+
+
+@pytest.mark.parametrize(
+    "z,a,b,expect",
+    [
+        ("0,1e-300", "1", "4", 1.9894367886486917e-301),
+        # psi(z) rounded to a real number: "z must lie in the open upper half-plane"
+        ("1e20,1e20", "1", "2", 1.4691225516174954e-21),
+        # psi(a) == psi(b) in double: "need a < b"
+        ("0,1e-300", "1e-300", "2e-300", 0.10241638234956673),
+    ],
+)
+def test_harmonic_extreme_queries(z, a, b, expect):
+    # each exited 2; expect is mpmath's value at 700 digits
+    code, text = run(["harmonic", "--z", z, "--a", a, "--b", b, "--p", "0.5", "--format", "json"])
+    assert code == 0
+    assert json.loads(text)[0]["value"] == pytest.approx(expect, rel=1e-14)
 
 
 def test_harmonic_all_walks_capped_exits_2(monkeypatch, capsys):

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from polebounds import (
     check_distance_measure_bound,
     hm_halfplane,
     hm_omega1,
+    in_omega1,
     measure_cot_bound,
     wos_harmonic_measure,
 )
@@ -106,15 +108,60 @@ def test_omega1_frozen_value():
 @pytest.mark.parametrize(
     "z, a, b, p, expect",
     [
-        (2j, 1.0, 4.0, 0.5, "0.18716704181099877"),
-        (0.3 + 0.7j, 0.25, 3.0, 0.2, "0.34180662650079285"),
-        (complex(-0.0, 1.5), 1.0, 2.0, 0.9, "0.10772879106635087"),
-        (-1.5 + 2.5j, 0.5, 9.0, 0.6, "0.19285452085275917"),
+        (2j, 1.0, 4.0, 0.5, "0.18716704181099886"),
+        (0.3 + 0.7j, 0.25, 3.0, 0.2, "0.3418066265007929"),
+        (complex(-0.0, 1.5), 1.0, 2.0, 0.9, "0.10772879106635092"),
+        (-1.5 + 2.5j, 0.5, 9.0, 0.6, "0.19285452085275911"),
     ],
 )
 def test_omega1_is_bit_identical_to_recorded_values(z, a, b, p, expect):
-    # recorded before the map psi became a plain complex formula
+    # recorded when psi(z) - psi(a) became a product of differences; against 60-digit
+    # mpmath each moved closer: 2.24e-16 -> 2.21e-16, 2.45e-16 -> 8.3e-17,
+    # 3.84e-16 -> 2.7e-18 and 3.59e-16 -> 7.1e-17
     assert repr(hm_omega1(z, a, b, p)) == expect
+
+
+def _mp_halfplane(z, a, b):
+    z, a, b = mp.mpc(z), mp.mpf(a), mp.mpf(b)
+    return (mp.arg(z - b) - mp.arg(z - a)) / mp.pi
+
+
+def _mp_omega1(z, a, b, p):
+    z, a, b, p = mp.mpc(z), mp.mpf(a), mp.mpf(b), mp.mpf(p)
+    psi = lambda x: ((x + p) / (x + 1 / p)) ** 2
+    return (mp.arg(psi(z) - psi(b)) - mp.arg(psi(z) - psi(a))) / mp.pi
+
+
+#: Points from |z| = 1 to 1e300 in five directions, and segments from 1e-300 to 1e300 long.
+_FAR_Z = [
+    m * d
+    for m in (1.0, 1e9, 1e16, 1e20, 1e100, 1e300)
+    for d in (1 + 1j, 1j, -1 + 1j, 0.3 + 1j, 1 + 1e-3j)
+]
+_SEGMENTS = [
+    (1.0, 2.0), (0.5, 9.0), (1e-300, 2e-300), (1.0, 1.0 + 2**-40), (1e300, 2e300), (1e-300, 1e300)
+]
+
+
+@pytest.mark.parametrize("a,b", _SEGMENTS)
+def test_harmonic_measures_match_mpmath_far_from_the_segment(a, b):
+    # within 1e-15 wherever the measure is a normal double, DomainError where it
+    # underflows. The phase difference lost 11% at 1e15(1+i), and psi(z) rounded to 1
+    # from |z| ~ 1e16 on; mpmath needs 700 digits, as psi(z) - 1 reaches 1e-300.
+    with mp.workdps(700):
+        for z in _FAR_Z:
+            cases = [(hm_halfplane, (z, a, b), _mp_halfplane(z, a, b))]
+            cases += [
+                (hm_omega1, (z, a, b, p), _mp_omega1(z, a, b, p))
+                for p in (0.1, 0.5, 0.9, 1e-6)
+                if in_omega1(z, p)
+            ]
+            for fn, args, exact in cases:
+                if exact < 1e-330:  # below half the least subnormal
+                    with pytest.raises(DomainError, match="rounds to 0"):
+                        fn(*args)
+                elif exact > 1e-300:
+                    assert abs(fn(*args) / exact - 1) <= 1e-15, (fn.__name__, args)
 
 
 def test_omega1_rejects_outside_points():
