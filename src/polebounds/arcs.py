@@ -45,6 +45,7 @@ from .hyperbolic import hyp_dist_to_vertical_segment
 from .lengths import (
     DEFAULT_LENGTH_TOL,
     TestFunction,
+    _check_polyline,
     _conservative_verdict,
     _segment_feet,
     polyline_image_length,
@@ -130,13 +131,7 @@ class PolylineArc:
     def __post_init__(self) -> None:
         verts = tuple(complex(v) for v in self.vertices)
         object.__setattr__(self, "vertices", verts)
-        if len(verts) < 2:
-            raise DomainError("a polyline arc needs at least two vertices")
-        for v in verts:
-            _inside_disk(v, "vertex {} is not strictly inside the unit disk")
-        for u, v in zip(verts, verts[1:]):
-            if u == v:
-                raise DomainError("consecutive vertices must be distinct")
+        _check_polyline(verts, inside_disk=True)
         if _has_crossing(verts):
             raise DomainError("polyline is not simple: segments cross")
 
@@ -336,8 +331,9 @@ def normalize_to_axis(
 ) -> NormalizedInstance:
     """Apply the disk automorphism sending ``z1``, ``z2`` onto the vertical diameter.
 
-    The hyperbolic midpoint of the endpoints goes to the origin and the pair
-    is rotated onto the imaginary axis, ``z2`` to the upper point. Hyperbolic
+    The map is ``e (z - m) / (1 - conj(m) z)``: the hyperbolic midpoint ``m``
+    of the endpoints goes to the origin, and the unimodular ``e`` turns the
+    pair onto the imaginary axis, ``z2`` to the upper point. Hyperbolic
     distances are unchanged (automorphisms are isometries). Polyline vertices
     are mapped individually and rejoined by straight segments, and the moved
     arc is validated again; endpoints that already lie on the axis are
@@ -350,33 +346,26 @@ def normalize_to_axis(
     # The map's pole lies outside the closed disk, so inside it the division is safe.
     s = _inside_disk(s, "the pole must lie strictly inside the unit disk")
 
-    # Each map is (a z + b) / (c z + d), applied with integer coefficients as
-    # written (the identity turns a -0.0 component into 0.0), and the composed
-    # coefficients are the 2x2 matrix products.
-    on_axis = z1.real == 0.0 and z2.real == 0.0
-    if on_axis:
-        a, b, c, d = 1, 0, 0, 1
-    else:
-        # Send z1 to 0, find the hyperbolic midpoint of the image pair, recenter, rotate.
-        w = (1 * z2 + -z1) / (-z1.conjugate() * z2 + 1)
-        r = abs(_inside_disk(w, "endpoints are too close to the unit circle to normalize"))
-        mid = (w / r) * (r / (1.0 + math.sqrt(1.0 - r * r)))
-        u2 = (1 * w + -mid) / (-mid.conjugate() * w + 1)
-        angle = math.pi / 2.0 - math.atan2(u2.imag, u2.real)
-        e = complex(math.cos(angle), math.sin(angle))
-        a = 1 * 1 + -mid * -z1.conjugate()
-        b = 1 * -z1 + -mid * 1
-        c = -mid.conjugate() * 1 + 1 * -z1.conjugate()
-        d = -mid.conjugate() * -z1 + 1 * 1
-        a, b, c, d = e * a + 0 * c, e * b + 0 * d, 0 * a + 1 * c, 0 * b + 1 * d
+    if z1.real == 0.0 and z2.real == 0.0:
+        # The identity; adding 0.0 turns a -0.0 component into 0.0.
+        moved = (complex(z.real + 0.0, z.imag + 0.0) for z in (s, z1, z2))
+        return NormalizedInstance(*moved, arc=arc)
+
+    # With z1 sent to 0, z2 goes to w and the midpoint to h, which pulls back to m.
+    # Sending m to 0 takes z2 to conj(d) / d times a positive multiple of w, so e
+    # turns it onto the upper axis; taken from w, not z2 - m, e stays accurate.
+    w = (z2 - z1) / (1 - z1.conjugate() * z2)
+    r = abs(_inside_disk(w, "endpoints are too close to the unit circle to normalize"))
+    h = w / (1.0 + math.sqrt(1.0 - r * r))
+    d = 1 + z1.conjugate() * h
+    m = (h + z1) / d
+    e = 1j * (w.conjugate() / r) * (d / d.conjugate())
 
     def move(z: complex) -> complex:
-        return (a * z + b) / (c * z + d)
+        return e * (z - m) / (1 - m.conjugate() * z)
 
-    new_arc = arc
-    if arc is not None and not on_axis:
-        # straight segments between mapped vertices can cross: validate again
-        new_arc = PolylineArc(tuple(move(v) for v in arc.vertices))
+    # straight segments between mapped vertices can cross: validate again
+    new_arc = None if arc is None else PolylineArc(tuple(move(v) for v in arc.vertices))
     return NormalizedInstance(s=move(s), z1=move(z1), z2=move(z2), arc=new_arc)
 
 

@@ -35,8 +35,8 @@ from .conformal import _check_positive, _check_unit_interval
 from .errors import DomainError, NumericalConditionWarning
 from .harmonic import _checked_at_q, _measure_cot, arccot
 
-#: Validity threshold for :func:`angle_bound`.
-ANGLE_BOUND_MIN_P = math.sqrt(2.0) - 1.0
+#: Validity threshold for :func:`angle_bound`: the largest double below sqrt(2) - 1.
+ANGLE_BOUND_MIN_P = 0.41421356237309504
 
 #: The eleven pole locations of the reference table.
 DEFAULT_TABLE_P = (0.999, 0.99, 0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1)
@@ -81,8 +81,8 @@ def _angle_formula(p, q):
     """
     x = (q - 1.0) / (q + 1.0)
     k = (1.0 - p * p) / (2.0 * p)
-    # sqrt(2) - 1 as the sum of two doubles, so that p - (sqrt(2) - 1) keeps its digits
-    one_minus_k = (p - 0.41421356237309504 - 1.4349369327986523e-17) * (p + 1.0 + math.sqrt(2.0))
+    # sqrt(2) - 1 is ANGLE_BOUND_MIN_P plus a residual, so p - (sqrt(2) - 1) keeps its digits
+    one_minus_k = (p - ANGLE_BOUND_MIN_P - 1.4349369327986523e-17) * (p + 1.0 + math.sqrt(2.0))
     one_minus_k /= 2.0 * p
     return _scaled_cot_sq(p, q, np.arctan(one_minus_k * x / (1.0 + k * x * x)))
 

@@ -85,7 +85,7 @@ def cayley(z: complex) -> complex:
     to the positive imaginary axis and the left half-circle to the positive
     real axis. ``g(g(z)) = z`` away from the pole ``z = -i``.
     """
-    return (-1 * z + 1j) / (-1j * z + 1)
+    return (1j - z) / (1 - 1j * z)
 
 
 def omega_to_disk(z: complex, alpha: float) -> complex:
@@ -119,4 +119,4 @@ def vertical_translation(z: complex, a: float) -> complex:
     """
     if not -1.0 < a < 1.0:
         raise DomainError(f"a must lie in (-1, 1), got {a!r}")
-    return (1 * z + 1j * a) / (-1j * a * z + 1)
+    return (z + 1j * a) / (1 - 1j * a * z)

@@ -37,6 +37,9 @@ DEFAULT_WOS_EPS = 1e-6
 #: Per-walk step cap; capped walks are discarded and reported.
 WOS_STEP_CAP = 10**6
 
+#: Most walks one estimate may take: ten times the largest run in the README.
+WOS_MAX_WALKS = 10**7
+
 
 def arccot(x: float) -> float:
     """Arc-cotangent with values in (0, pi): ``atan2(1, x)``."""
@@ -158,6 +161,7 @@ class WosEstimate:
     n_capped: int
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def wos_harmonic_measure(
     z: complex,
     a: float,
@@ -175,8 +179,9 @@ def wos_harmonic_measure(
     validating against :func:`hm_halfplane`). Each step jumps to a uniform
     point on the largest inscribed circle at the current position; a walk is
     absorbed once within ``eps`` of the boundary and scores 1 when its nearest
-    boundary point lies in ``[a, b]`` on the real axis; ``eps`` must be
-    positive and below the start's distance to the boundary.
+    boundary point lies in ``[a, b]`` on the real axis, or as a miss once a
+    step overflows; ``eps`` must be positive and below the start's distance
+    to the boundary, and ``n_walks`` in [1, WOS_MAX_WALKS].
     Walks exceeding the step cap are discarded and reported in ``n_capped``.
 
     All walks advance in lockstep on a single seeded generator, so a given
@@ -185,6 +190,8 @@ def wos_harmonic_measure(
     zz = as_complex(z)
     if n_walks < 1:
         raise DomainError("n_walks must be at least 1")
+    if n_walks > WOS_MAX_WALKS:
+        raise DomainError(f"n_walks must be at most {WOS_MAX_WALKS}, got {n_walks}")
     _check_positive(eps, "eps must be positive and finite, got {!r}")
     if seed < 0:
         raise DomainError(f"seed must be non-negative, got {seed!r}")
@@ -217,7 +224,7 @@ def wos_harmonic_measure(
             break
         gap = _omega1_gap(pts, disk)
         dist = np.minimum(pts.imag, gap)
-        absorb = dist < eps
+        absorb = ~(dist >= eps)  # a nan walk overflowed: absorbed, and scores 0
         if absorb.any():
             zdone = pts[absorb]
             nearest_on_axis = zdone.imag <= gap[absorb]

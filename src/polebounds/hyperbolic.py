@@ -3,13 +3,12 @@
 The metric convention is curvature -4: the disk distance is
 ``d(z, w) = artanh |(z - w) / (1 - z conj(w))|``.
 
-The excluded disk attached to a pole location ``p`` is the closed disk with
-real center ``(1 + p^2) / (2p)`` and radius ``(1 - p^2) / (2p)``; its boundary
-circle meets ``D`` in the separating geodesic through ``p``, symmetric about
-the real axis, with ideal endpoints ``alpha +- i sqrt(1 - alpha^2)``. The
-Cayley image of that circle has center ``-(1 + p^2) / (2p)``, the same radius,
-and meets the real axis at ``-p`` and ``-1/p``. ``Omega`` is the side of the
-geodesic containing the origin, ``Omega1`` its Cayley image in ``H``
+The excluded disk ``Delta(p)`` attached to a pole location ``p`` is the
+closed disk with real diameter ``[p, 1/p]``; its boundary circle meets ``D``
+in the separating geodesic through ``p``, symmetric about the real axis,
+with ideal endpoints ``alpha +- i sqrt(1 - alpha^2)``. The Cayley image of
+that circle has the real diameter ``[-1/p, -p]``. ``Omega`` is the side of
+the geodesic containing the origin, ``Omega1`` its Cayley image in ``H``
 containing ``i``.
 """
 
@@ -24,7 +23,7 @@ from .errors import DomainError
 
 @dataclass(frozen=True)
 class ExcludedDisk:
-    """The closed disk cut away from ``D`` by the geodesic through ``p``."""
+    """``Delta(p)``: the closed disk with real diameter ``[p, 1/p]``, cut off by the geodesic."""
 
     p: float
     center: float
@@ -77,17 +76,15 @@ def in_omega1(z: complex, p: float) -> bool:
 def disk_nesting(p1: float, p2: float) -> bool:
     """Whether the excluded disk of ``p2`` sits inside the one of ``p1``.
 
-    Requires ``p1 <= p2``; decided by the center/radius inequality
-    ``c1 - c2 + r2 <= r1`` (all four quantities are exact rational functions
-    of the poles, so a 1e-12 slack absorbs rounding only).
+    Requires ``p1 <= p2``. The disks are centred on the real axis, so this holds
+    exactly when ``[p2, 1/p2]`` lies in ``[p1, 1/p1]``. A rounded ``1/p`` is monotone
+    in ``p``: the comparison is exact, and True for every pair, as the lemma says.
     """
     p1 = _check_unit_interval(p1, "p1")
     p2 = _check_unit_interval(p2, "p2")
     if p1 > p2:
         raise DomainError("disk_nesting expects p1 <= p2")
-    d1 = ExcludedDisk.from_pole(p1)
-    d2 = ExcludedDisk.from_pole(p2)
-    return d1.center - d2.center + d2.radius <= d1.radius + 1e-12
+    return 1.0 / p2 <= 1.0 / p1
 
 
 def hyp_dist_to_vertical_segment(s: complex, y1: float, y2: float) -> float:

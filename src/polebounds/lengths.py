@@ -200,6 +200,17 @@ def _segment_feet(a, d, w):
     return s, abs(w - (a + s * d))
 
 
+def _check_polyline(verts, inside_disk: bool = False) -> None:
+    """At least two vertices, all inside ``D`` if ``inside_disk``, none equal to the next."""
+    if len(verts) < 2:
+        raise DomainError("a polyline arc needs at least two vertices")
+    if inside_disk:
+        for v in verts:
+            _inside_disk(v, "vertex {} is not strictly inside the unit disk")
+    if any(u == v for u, v in zip(verts, verts[1:])):
+        raise DomainError("consecutive vertices must be distinct")
+
+
 def _polyline_curve(polylines, label: str = "polyline") -> Curve:
     """Polylines joined into one curve: their segments in order, each on ``t`` in [0, 1].
 
@@ -207,13 +218,11 @@ def _polyline_curve(polylines, label: str = "polyline") -> Curve:
     next. A parameter local to its segment keeps the nodes of a panel near a
     pole as precise as the panel is narrow.
     """
+    for v in polylines:
+        _check_polyline(v)
     verts = [np.array(v, dtype=complex) for v in polylines]
-    if min(len(v) for v in verts) < 2:
-        raise DomainError("a polyline needs at least two vertices")
     starts = np.concatenate([v[:-1] for v in verts])
     steps = np.concatenate([v[1:] - v[:-1] for v in verts])
-    if not steps.all():
-        raise DomainError("segment endpoints must be distinct")
     pieces = np.empty((5, len(steps)))
     pieces[_START] = 0.0
     pieces[_END] = 1.0

@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -441,21 +442,24 @@ def test_normalize_preserves_tau():
     assert tau1 == pytest.approx(tau0, abs=1e-10)
 
 
-# repr of each result, recorded before the maps became plain complex formulas;
-# signed zeros included (the identity path turns -0.0 into 0.0)
+# repr of each result; signed zeros included (the identity path turns -0.0
+# into 0.0). The three moved configurations were restated when the map became
+# one automorphism: each lies at least as close to a 50-digit mpmath
+# evaluation of the map as the value recorded before (worst distance of a
+# point 2.13e-16 -> 1.32e-16, 1.84e-16 -> 5.72e-17, 1.90e-16 -> 1.51e-16).
 _NORMALIZED = [
     ((0.2 + 0.1j, -0.3 - 0.4j, 0.5 + 0.2j, (-0.3 - 0.4j, -0.6 + 0.0j, 0.5 + 0.2j)),
-     "((-0.07728142758884171+0.19320572982081827j), (1.1102230246251564e-16-0.5082158643476736j), "
-     "(1.2282270651660626e-16+0.5082158643476734j), ((1.1102230246251564e-16-0.5082158643476736j), "
-     "(-0.4664048203669543-0.46256599801860787j), (1.2282270651660626e-16+0.5082158643476734j)))"),
+     "((-0.07728142758884177+0.19320572982081832j), (3.1207325297715755e-17-0.5082158643476735j), "
+     "(7.484677412303493e-17+0.5082158643476734j), ((3.1207325297715755e-17-0.5082158643476735j), "
+     "(-0.4664048203669544-0.4625659980186078j), (7.484677412303493e-17+0.5082158643476734j)))"),
     ((-0.45 + 0.3j, 0.7 - 0.1j, -0.2 + 0.6j, None),
-     "((-0.3461409757951825+0.5408439574073302j), (-1.839921529310561e-16-0.6290159310351968j), "
-     "(7.211110073938364e-17+0.6290159310351967j), None)"),
+     "((-0.34614097579518255+0.5408439574073302j), (-3.1300291499363e-17-0.6290159310351968j), "
+     "(5.70093244453173e-17+0.6290159310351968j), None)"),
     ((complex(0.35, -0.0), complex(-0.0, -0.5), 0.25 + 0.5j,
       (complex(-0.0, -0.5), -0.4 + 0.1j, 0.25 + 0.5j)),
-     "((0.2532560954470587+0.04392416102333073j), (-1.1102230246251565e-16-0.5220958866337441j), "
-     "(8.653764787783172e-17+0.5220958866337442j), ((-1.1102230246251565e-16-0.5220958866337441j), "
-     "(-0.4877332000015178-0.04907843299605062j), (8.653764787783172e-17+0.5220958866337442j)))"),
+     "((0.2532560954470587+0.043924161023330785j), (-1.0293199962036881e-17-0.5220958866337441j), "
+     "(-2.1504120224281558e-17+0.5220958866337443j), ((-1.0293199962036881e-17-0.5220958866337441j), "
+     "(-0.4877332000015179-0.04907843299605075j), (-2.1504120224281558e-17+0.5220958866337443j)))"),
     ((complex(-0.0, 0.2), -0.4j, complex(-0.0, 0.6), None), "(0.2j, -0.4j, 0.6j, None)"),
 ]
 
@@ -465,6 +469,44 @@ def test_normalize_is_bit_identical_to_recorded_values(config, expect):
     s, z1, z2, verts = config
     inst = normalize_to_axis(s, z1, z2, None if verts is None else PolylineArc(verts))
     assert repr((inst.s, inst.z1, inst.z2, None if inst.arc is None else inst.arc.vertices)) == expect
+
+
+def _normalize_exact(z1, z2, z):
+    """The normalizing automorphism at ``z``, in 50-digit mpmath."""
+    with mpmath.workdps(50):
+        z1, z2, z = (mpmath.mpc(v.real, v.imag) for v in (z1, z2, z))
+        w = (z2 - z1) / (1 - mpmath.conj(z1) * z2)
+        h = w / (1 + mpmath.sqrt(1 - abs(w) ** 2))
+        m = (h + z1) / (1 + mpmath.conj(z1) * h)
+        u = (z2 - m) / (1 - mpmath.conj(m) * z2)
+        return 1j * mpmath.conj(u) / abs(u) * (z - m) / (1 - mpmath.conj(m) * z)
+
+
+def test_normalize_matches_mpmath():
+    # 400 configurations in the disk of radius 0.9; every fourth has endpoints
+    # 1e-12 to 1e-3 apart, where the rotation must still come out right
+    rng = np.random.default_rng(1931)
+    errors = []
+    for k in range(400):
+        r, t = np.sqrt(rng.uniform(0.0, 1.0, 3)) * 0.9, rng.uniform(0.0, 2.0 * math.pi, 3)
+        s, z1, z2 = (complex(cmath.rect(a, b)) for a, b in zip(r, t))
+        if k % 4 == 0:
+            z2 = z1 + 10.0 ** rng.uniform(-12.0, -3.0) * cmath.exp(1j * rng.uniform(0.0, 6.0))
+        inst = normalize_to_axis(s, z1, z2)
+        for z, got in zip((s, z1, z2), (inst.s, inst.z1, inst.z2)):
+            errors.append(float(abs(mpmath.mpc(got.real, got.imag) - _normalize_exact(z1, z2, z))))
+    assert max(errors) <= 1e-14
+    assert np.mean(errors) <= 4e-16
+
+
+def test_normalize_takes_endpoints_one_ulp_apart():
+    z1 = 0.21223016181186816 + 0.4042126915897184j
+    z2 = complex(math.nextafter(z1.real, 1.0), math.nextafter(z1.imag, 1.0))
+    inst = normalize_to_axis(0.1j, z1, z2, PolylineArc((z1, -0.3 + 0.1j, z2)))
+    # the midpoint rounds onto z2, which lands on 0; the exact images are +-3.9e-17 i
+    assert max(abs(inst.z1.real), abs(inst.z2.real)) <= 1e-30
+    assert -1e-16 < inst.z1.imag < inst.z2.imag < 1e-16
+    assert abs(inst.arc.vertices[1] - complex(_normalize_exact(z1, z2, -0.3 + 0.1j))) <= 1e-15
 
 
 def test_normalize_rejects_bad_endpoints():

@@ -68,6 +68,23 @@ def test_angle_bound_guard_below_threshold():
     angle_bound(ANGLE_BOUND_MIN_P + 1e-6, 4.0)  # just inside: defined
 
 
+@pytest.mark.parametrize("p", [0.4142135623730951, 0.41421356237309515])
+def test_angle_bound_takes_the_two_doubles_just_above_the_threshold(p):
+    # both lie above sqrt(2) - 1, and both were rejected when the threshold was
+    # the double nearest to it, 0.41421356237309515
+    assert math.isfinite(angle_bound(p, 4.0))
+    assert math.isfinite(minimize_over_q(p, "angle").value)
+    assert table_rows([p])[0].angle_min is not None
+
+
+def test_angle_bound_threshold_is_the_largest_double_below_sqrt2_minus_1():
+    with mp.workdps(40):
+        assert ANGLE_BOUND_MIN_P < mp.sqrt(2) - 1 < math.nextafter(ANGLE_BOUND_MIN_P, 1.0)
+    with pytest.raises(DomainError):
+        angle_bound(0.41421356237309503, 4.0)
+    assert table_rows([0.41421356237309503])[0].angle_min is None
+
+
 # --------------------------------------------------------------- measure bound
 
 

@@ -424,6 +424,15 @@ def test_harmonic_all_walks_capped_exits_2(monkeypatch, capsys):
     )
 
 
+def test_harmonic_too_many_walks_exits_2(capsys):
+    # numpy's "array is too big" ValueError escaped as a traceback (exit 1)
+    err = _assert_usage_error(
+        ["harmonic", "--z", "0,2", "--a", "1", "--b", "4", "--p", "0.5",
+         "--wos", "1000000000000000000"], capsys
+    )
+    assert err.count("error:") == 1 and "at most" in err
+
+
 _ARG = st.one_of(
     st.floats(-2.0, 2.0).map(repr),
     st.sampled_from(["0", "1", "0.5", "0.4142", "1e-300", "5e-324", "1e300", "1.7e308", "nan",
@@ -498,6 +507,9 @@ _HARMONIC = st.tuples(
 
 @settings(max_examples=150, deadline=None)
 @given(argv=st.one_of(_BOUNDS, _TABLE, _VERIFY, _HARMONIC), fmt=_FORMAT)
+# the first step overflowed to nan: the walk spun for 20 s to the step cap and exited 2
+@example(argv=["harmonic", "--z", "0.0,1.7e308", "--a", "0.5", "--b", "4", "--p", "0.3",
+               "--wos", "1", "--eps", "1e-6", "--seed", "1"], fmt=[])
 def test_cli_fuzz_exits_cleanly(argv, fmt):
     err, out = io.StringIO(), io.StringIO()
     with contextlib.redirect_stderr(err):

@@ -331,6 +331,19 @@ def test_wos_input_validation():
         wos_harmonic_measure(2j, -1.0, 4.0, p=0.5, n_walks=10)
 
 
+def test_wos_rejects_more_walks_than_the_cap():
+    # raised before any array is built; numpy could not allocate this many
+    with pytest.raises(DomainError, match="at most"):
+        wos_harmonic_measure(2j, 1.0, 4.0, p=0.5, n_walks=10**18)
+
+
+def test_wos_walk_that_overflows_is_absorbed_as_a_miss():
+    # the first step overflows to nan; the walk spun to the step cap, with
+    # numpy RuntimeWarnings, and the estimate raised WalkCapError
+    est = wos_harmonic_measure(1.7e308j, 0.5, 4.0, p=0.3, n_walks=1, seed=1)
+    assert (est.mean, est.n_used, est.n_capped) == (0.0, 1, 0)
+
+
 # -------------------------------------------------- distance vs measure bound
 
 

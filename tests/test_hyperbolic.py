@@ -6,7 +6,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from polebounds import (
@@ -165,6 +165,19 @@ def test_disk_nesting_examples():
 @given(st.floats(min_value=0.01, max_value=0.98), st.floats(min_value=1e-6, max_value=0.01))
 def test_disk_nesting_random_pairs(p1, gap):
     assert disk_nesting(p1, min(p1 + gap, 0.999))
+
+
+#: Poles drawn log-uniformly in [1e-300, 1).
+_LOG_UNIFORM_P = (
+    st.floats(math.log(1e-300), 0.0, exclude_max=True).map(math.exp).filter(lambda p: p < 1.0)
+)
+
+
+@given(pair=st.lists(_LOG_UNIFORM_P, min_size=2, max_size=2).map(sorted))
+# the centre/radius test with a 1e-12 slack returned False here
+@example(pair=[8.265483267018253e-12, 2.90286377631546e-11])
+def test_disk_nesting_holds_for_every_ordered_pair(pair):
+    assert disk_nesting(*pair)
 
 
 def test_disk_nesting_boundary_sampling_oracle():

@@ -200,6 +200,29 @@ def test_polyline_rejects_repeated_vertex():
         polyline_image_length(IDENTITY, (0.1j, 0.2 + 0.1j, 0.2 + 0.1j, 0.5j))
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: polyline_image_length(IDENTITY, (0.1j,)), "needs at least two vertices"),
+        (lambda: polyline_image_length(IDENTITY, ((0.1j, 0.5j), (0.2,))), "at least two"),
+        (lambda: segment_curve(0.3j, 0.3j), "consecutive vertices must be distinct"),
+        (lambda: PolylineArc((0.1j,)), "needs at least two vertices"),
+        (lambda: PolylineArc((0.1j, 0.1j)), "consecutive vertices must be distinct"),
+    ],
+)
+def test_polylines_and_polyline_arcs_share_their_shape_rules(build, message):
+    # one check, worded as the arc CLI prints it, serves curves and arcs alike
+    with pytest.raises(DomainError, match=message):
+        build()
+
+
+def test_polyline_arc_reports_an_outside_vertex_before_a_repeat_and_after_a_count():
+    with pytest.raises(DomainError, match="at least two"):
+        PolylineArc((2.0,))
+    with pytest.raises(DomainError, match="unit disk"):
+        PolylineArc((0.5, 0.5, 2.0))
+
+
 # ------------------------------------------------------ Gauss-Kronrod G7-K15
 
 
