@@ -21,11 +21,12 @@ panel is narrow. Most lengths are then resolved in the first round; a panel
 whose error is still above its share of the tolerance is replaced by its
 four equal quarters.
 
-The curves of one check (``I1`` with ``T-``, a geodesic with its polyline)
-are one panel set: each round evaluates all active panels of all curves in
-one array call of the integrand, and ``(length, err)`` comes back per curve.
-Every curve has a piecewise-constant speed ``|g'(t)|``, held as data, and an
-exact nearest-point function, which also rejects pole proximity before any
+A :class:`Curve` is one length. A check is a tuple of curves (``I1`` with
+``T-``, a geodesic with its polyline), integrated as one panel set: each
+round evaluates all active panels of all curves in one array call of the
+integrand, and ``(length, err)`` comes back per curve. Every curve has a
+piecewise-constant speed ``|g'(t)|``, held as data, and an exact
+nearest-point function, which also rejects pole proximity before any
 integrand evaluation.
 
 Error contract: a returned ``(length, err)`` has ``err <= tol``, or
@@ -147,8 +148,8 @@ _GRID = 2.0**40
 
 #: A panel is one row ``(mid, half, scale, share, piece)``: the midpoint and
 #: half-width of its parameter interval, ``half`` times the curve's speed on
-#: it, its share of its length's tolerance (proportional to its width), and
-#: the index of its piece in its curve. Rows are grouped by length, in order.
+#: it, its share of its curve's tolerance (proportional to its width), and
+#: the index of its piece in its curve. Rows are grouped by curve, in order.
 #: One matrix product gives the 15 nodes of every panel (``panels @
 #: _TO_NODES``), and one the rows of its equal parts, side by side and in
 #: place (``panels @ _TO_PARTS``); numpy's broadcasting costs more than either
@@ -165,21 +166,18 @@ for _col in (1, 2, 3):
 _TO_PARTS[4, 4::_COLUMNS] = 1.0
 
 #: Rows of ``Curve.pieces``.
-_START, _END, _SPEED, _LENGTH, _SHARE = range(5)
+_START, _END, _SPEED = range(3)
 
 
 @dataclass(frozen=True)
 class Curve:
-    """A parametrized path ``t -> g(t)`` in pieces, with exact nearest points.
+    """A parametrized path ``t -> g(t)`` in pieces, with exact nearest points: one length.
 
     ``point(t, piece)`` evaluates an array of parameters, each row of ``t``
     inside the piece of that index. ``pieces`` has one column per piece and
-    five rows: its start and end parameter, its constant speed ``|g'(t)|``,
-    the index of the length it adds to (0 unless the curve joins several
-    paths, like the polylines of one check), and ``2 / r`` for the parameter
-    range ``r`` of that length. ``nearest(w)`` returns, per piece, the
-    parameter of the piece's point nearest ``w`` and the distance between
-    the two.
+    three rows: its start and end parameter and its constant speed
+    ``|g'(t)|``. ``nearest(w)`` returns, per piece, the parameter of the
+    piece's point nearest ``w`` and the distance between the two.
     """
 
     point: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -211,28 +209,19 @@ def _check_polyline(verts, inside_disk: bool = False) -> None:
         raise DomainError("consecutive vertices must be distinct")
 
 
-def _polyline_curve(polylines, label: str = "polyline") -> Curve:
-    """Polylines joined into one curve: their segments in order, each on ``t`` in [0, 1].
+def _polyline_curve(vertices, label: str = "polyline") -> Curve:
+    """A polyline as one curve: its segments in order, each on ``t`` in [0, 1].
 
-    Polyline ``i`` is length ``i``; no segment joins one polyline to the
-    next. A parameter local to its segment keeps the nodes of a panel near a
-    pole as precise as the panel is narrow.
+    A parameter local to its segment keeps the nodes of a panel near a pole
+    as precise as the panel is narrow.
     """
-    for v in polylines:
-        _check_polyline(v)
-    verts = [np.array(v, dtype=complex) for v in polylines]
-    starts = np.concatenate([v[:-1] for v in verts])
-    steps = np.concatenate([v[1:] - v[:-1] for v in verts])
-    pieces = np.empty((5, len(steps)))
+    _check_polyline(vertices)
+    verts = np.array(vertices, dtype=complex)
+    starts, steps = verts[:-1], verts[1:] - verts[:-1]
+    pieces = np.empty((3, len(steps)))
     pieces[_START] = 0.0
     pieces[_END] = 1.0
     np.abs(steps, out=pieces[_SPEED])
-    first = 0
-    for i, v in enumerate(verts):
-        last = first + len(v) - 1
-        pieces[_LENGTH, first:last] = i
-        pieces[_SHARE, first:last] = 2.0 / (last - first)
-        first = last
     start_col, step_col = starts[:, None], steps[:, None]
     return Curve(
         point=lambda t, piece: start_col[piece] + t * step_col[piece],
@@ -244,7 +233,7 @@ def _polyline_curve(polylines, label: str = "polyline") -> Curve:
 
 def segment_curve(z0: complex, z1: complex, label: str = "segment") -> Curve:
     """The straight segment from ``z0`` to ``z1`` on ``t`` in [0, 1]."""
-    return _polyline_curve(((z0, z1),), label)
+    return _polyline_curve((z0, z1), label)
 
 
 _I1 = segment_curve(-1j, 1j, label="I1")
@@ -270,9 +259,7 @@ def _t_minus_nearest(w: complex) -> tuple:
 
 _T_MINUS = Curve(
     point=lambda t, piece: np.exp(1j * t),
-    pieces=np.array(
-        [[_T_LO, _T_MID], [_T_MID, _T_HI], [1.0, 1.0], [0.0, 0.0], [2.0 / math.pi] * 2]
-    ),
+    pieces=np.array([[_T_LO, _T_MID], [_T_MID, _T_HI], [1.0, 1.0]]),
     label="T-",
     nearest=_t_minus_nearest,
 )
@@ -338,26 +325,27 @@ FAMILIES: dict[str, Callable[[complex], TestFunction]] = {
 def _first_panels(curves: tuple[Curve, ...], pole: complex, tol: float):
     """The first panel rows of ``curves``, each piece graded toward ``pole``.
 
-    Returns the rows, grouped by length in order, and the number of rows of
-    each length.
+    Returns the rows, grouped by curve in order, and the number of rows of
+    each curve.
     """
-    # per piece of every curve: the rows of Curve.pieces, foot, distance, index
-    table = np.empty((8, sum(c.pieces.shape[1] for c in curves)))
-    start = lengths = 0
+    # per piece of every curve: the rows of Curve.pieces, share, foot, distance, index
+    table = np.empty((7, sum(c.pieces.shape[1] for c in curves)))
+    firsts, start = [], 0
     for curve in curves:
         stop = start + curve.pieces.shape[1]
-        table[:5, start:stop] = curve.pieces
-        table[_LENGTH, start:stop] += lengths
-        table[5:7, start:stop] = curve.nearest(pole)
-        table[7, start:stop] = np.arange(stop - start)
-        gap = table[6, start:stop].min()
+        table[:3, start:stop] = curve.pieces
+        # the curve's tolerance, shared in proportion to parameter width
+        table[3, start:stop] = 2.0 / (curve.pieces[_END] - curve.pieces[_START]).sum()
+        table[4:6, start:stop] = curve.nearest(pole)
+        table[6, start:stop] = np.arange(stop - start)
+        gap = table[5, start:stop].min()
         if not gap >= POLE_GUARD_DISTANCE:
             raise PoleProximityError(
                 f"curve {curve.label!r} passes within {gap:.3g} of the pole {pole}"
             )
-        lengths = int(table[_LENGTH, stop - 1]) + 1
+        firsts.append(start)
         start = stop
-    lo, hi, speed, length, share, foot, dist, piece = table
+    lo, hi, speed, share, foot, dist, piece = table
     span = hi - lo
     first = np.minimum(dist * _FIRST / np.maximum(speed, _TINY), span)
     reach = span / first  # 1 for a piece within its first edge: it stays one panel
@@ -382,8 +370,7 @@ def _first_panels(curves: tuple[Curve, ...], pole: complex, tol: float):
     rows[..., 3] *= tol  # after the share, which is at most 1: no overflow
     rows[..., 4] = piece[:, None]
     keep = half > 0.0  # clipped and coinciding edges leave empty panels
-    counts = np.bincount(length.astype(np.intp), keep.sum(axis=1), lengths)
-    return rows[keep], counts.astype(np.intp).tolist()
+    return rows[keep], np.add.reduceat(keep.sum(axis=1), firsts).tolist()
 
 
 def _gauss_kronrod(
@@ -396,13 +383,12 @@ def _gauss_kronrod(
     """Adaptive G7-K15 lengths ``integral of |derivative(point(t))| speed dt``.
 
     ``panels`` are the first panel rows of ``curves``, ``counts[i]`` of them
-    for length ``i``. Each round evaluates the nodes of every active panel in
+    for curve ``i``. Each round evaluates the nodes of every active panel in
     one call of ``derivative``. A panel is accepted when ``|K15 - G7|`` is
     within its share of ``tol`` or within its roundoff floor; the others are
     replaced in place by their :data:`_SPLIT` equal parts, all evaluated
-    together in the next round. Returns ``(length, err)`` per length.
+    together in the next round. Returns ``(length, err)`` per curve.
     """
-    owned = [int(c.pieces[_LENGTH, -1]) + 1 for c in curves]  # lengths per curve
     values, errors, evaluated = [0.0] * len(counts), [0.0] * len(counts), [0] * len(counts)
     while len(panels):
         evaluated = [e + c for e, c in zip(evaluated, counts)]
@@ -412,12 +398,12 @@ def _gauss_kronrod(
             )
         nodes = panels @ _TO_NODES
         piece = panels[:, 4].astype(np.intp)
-        parts, start, first = [], 0, 0
-        for curve, m in zip(curves, owned):
-            stop = start + sum(counts[first : first + m])
-            if stop > start:
+        parts, start = [], 0
+        for curve, count in zip(curves, counts):
+            if count:
+                stop = start + count
                 parts.append(curve.point(nodes[start:stop], piece[start:stop]))
-            start, first = stop, first + m
+                start = stop
         z = parts[0] if len(parts) == 1 else np.concatenate(parts)
         d = derivative(z)
         # a test map's derivative may be a constant
@@ -428,7 +414,7 @@ def _gauss_kronrod(
         floor = _ROUNDOFF_FLOOR * sums[:, 0]
         np.maximum(np.abs(sums[:, 1]), floor, out=sums[:, 1])
         done = sums[:, 1] <= np.maximum(panels[:, 3], floor)
-        # per length with panels this round: accepted value and error, panels split
+        # per curve with panels this round: accepted value and error, panels split
         live = [i for i, c in enumerate(counts) if c]
         offsets = list(accumulate([counts[i] for i in live[:-1]], initial=0))
         sums *= done[:, None]
@@ -453,6 +439,8 @@ def _image_lengths(
     f: TestFunction, curves: tuple[Curve, ...], tol: float
 ) -> list[tuple[float, float]]:
     tol = _check_positive(tol, "tol must be positive and finite")
+    if not curves:
+        raise DomainError("a length check needs at least one curve")
     panels, counts = _first_panels(curves, complex(f.pole), tol)
     return _gauss_kronrod(f.derivative, curves, panels, counts, tol)
 
@@ -460,8 +448,8 @@ def _image_lengths(
 def image_curve_length(f: TestFunction, curve, tol: float = DEFAULT_LENGTH_TOL):
     """Length of ``f(curve)`` with an absolute error estimate ``err <= tol``.
 
-    ``curve`` may also be a sequence of curves: they are integrated as one
-    panel set, and a list with one ``(length, err)`` per curve comes back.
+    ``curve`` may also be a non-empty sequence of curves: they are integrated
+    as one panel set, and a list with one ``(length, err)`` per curve comes back.
     Rejects curves that approach the pole of ``f`` closer than
     :data:`POLE_GUARD_DISTANCE`; raises :class:`QuadratureError` when the
     quadrature cannot reach ``tol``.
@@ -474,13 +462,13 @@ def image_curve_length(f: TestFunction, curve, tol: float = DEFAULT_LENGTH_TOL):
 def polyline_image_length(f: TestFunction, vertices, tol: float = DEFAULT_LENGTH_TOL):
     """Image length of a polyline, all segments in one quadrature, ``err <= tol``.
 
-    ``vertices`` may also be a sequence of polylines: they are integrated as
-    one panel set, and a list with one ``(length, err)`` per polyline comes
-    back.
+    ``vertices`` may also be a sequence of polylines, one curve each: they
+    are integrated as one panel set, and a list with one ``(length, err)``
+    per polyline comes back.
     """
     if len(vertices) and np.ndim(vertices[0]):
-        return _image_lengths(f, (_polyline_curve(vertices),), tol)
-    return _image_lengths(f, (_polyline_curve((vertices,)),), tol)[0]
+        return _image_lengths(f, tuple(map(_polyline_curve, vertices)), tol)
+    return _image_lengths(f, (_polyline_curve(vertices),), tol)[0]
 
 
 def _conservative_verdict(

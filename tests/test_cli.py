@@ -5,6 +5,7 @@ import io
 import json
 import re
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -246,6 +247,79 @@ def test_arc_a1_value_not_positive_and_finite_exits_2(tmp_path, capsys, value):
 def test_arc_missing_file_exits_2():
     code, _ = run(["arc", "--file", "/nonexistent.txt", "--family", "mobius"])
     assert code == 2
+
+
+
+# ------------------------------------------------------------ verify/arc pins
+
+INSTANCES = Path(__file__).resolve().parents[1] / "scripts" / "instances"
+
+#: ``verify`` and ``arc`` JSON at full precision, on the desk instances. A
+#: change that moves a length in its last digits restates these on purpose.
+PINNED_JSON = {
+    ("verify", "mobius", "0.1"): (
+        '[{"bound": 4608.759045229082, "family": "mobius", '
+        '"length_i1": 29.42255348607469, "length_tminus": 2.770624286490045, "p": 0.1, '
+        '"passed": true, "ratio": 10.619467110550936}]\n'
+    ),
+    ("verify", "mobius", "0.5"): (
+        '[{"bound": 124.38291845348793, "family": "mobius", '
+        '"length_i1": 4.4285948711763625, "length_tminus": 1.7160029567820916, "p": 0.5, '
+        '"passed": true, "ratio": 2.5807617951201074}]\n'
+    ),
+    ("verify", "mobius", "0.9"): (
+        '[{"bound": 74.21105667429246, "family": "mobius", '
+        '"length_i1": 1.8621805000186444, "length_tminus": 1.1070118233882467, "p": 0.9, '
+        '"passed": true, "ratio": 1.6821685737005432}]\n'
+    ),
+    ("verify", "koebe", "0.1"): (
+        '[{"bound": 4608.759045229082, "family": "koebe", '
+        '"length_i1": 0.31104877758314786, "length_tminus": 0.03273054578185092, '
+        '"p": 0.1, "passed": true, "ratio": 9.503317777109123}]\n'
+    ),
+    ("verify", "koebe", "0.5"): (
+        '[{"bound": 124.38291845348793, "family": "koebe", '
+        '"length_i1": 1.2566370614359175, "length_tminus": 0.3555555555555555, "p": 0.5, '
+        '"passed": true, "ratio": 3.534291735288518}]\n'
+    ),
+    ("verify", "koebe", "0.9"): (
+        '[{"bound": 74.21105667429246, "family": "koebe", '
+        '"length_i1": 1.5621178940501734, "length_tminus": 0.4958601796727935, "p": 0.9, '
+        '"passed": true, "ratio": 3.1503192998497647}]\n'
+    ),
+    ("arc", "mobius", "inside_branch"): (
+        '[{"branch": "inside_hull", "constant": 775.2749731645443, "family": "mobius", '
+        '"length_arc": 4.211401675981149, "length_geodesic": 11.902899496825315, '
+        '"passed": true, "pole_im": 0.0, "pole_re": 0.2, "ratio": 2.8263510376393257, '
+        '"tau": 0.20000000000000004}]\n'
+    ),
+    ("arc", "mobius", "outside_branch"): (
+        '[{"branch": "outside_hull", "constant": 17.45, "family": "mobius", '
+        '"length_arc": 1.417771868955329, "length_geodesic": 1.7721413885223471, '
+        '"passed": true, "pole_im": 0.0, "pole_re": 0.7, "ratio": 1.2499481949998994, '
+        '"tau": 0.7}]\n'
+    ),
+    ("arc", "koebe", "inside_branch"): (
+        '[{"branch": "inside_hull", "constant": 775.2749731645443, "family": "koebe", '
+        '"length_arc": 0.15741995587324714, "length_geodesic": 0.4961379239129591, '
+        '"passed": true, "pole_im": 0.0, "pole_re": 0.2, "ratio": 3.1516837948579024, '
+        '"tau": 0.20000000000000004}]\n'
+    ),
+    ("arc", "koebe", "outside_branch"): (
+        '[{"branch": "outside_hull", "constant": 17.45, "family": "koebe", '
+        '"length_arc": 0.5087109538247091, "length_geodesic": 0.8991235084009181, '
+        '"passed": true, "pole_im": 0.0, "pole_re": 0.7, "ratio": 1.767454586226065, '
+        '"tau": 0.7}]\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("command, family, arg", list(PINNED_JSON))
+def test_verify_and_arc_json_are_pinned(command, family, arg, capsys):
+    where = ["--p", arg] if command == "verify" else ["--file", str(INSTANCES / f"{arg}.txt")]
+    code, text = run([command, "--family", family, *where, "--format", "json"])
+    assert (code, text) == (0, PINNED_JSON[command, family, arg])
+    assert capsys.readouterr().err == ""
 
 
 # ------------------------------------------------------------------- harmonic

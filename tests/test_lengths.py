@@ -178,7 +178,7 @@ def polyline_and_pole(draw):
     verts = tuple(complex(x, draw(unit)) for x in xs)  # x-monotone, so simple
     r = draw(st.floats(0.05, 0.95))
     pole = complex(r * np.exp(1j * draw(st.floats(0.0, 2.0 * math.pi))))
-    assume(lengths._polyline_curve((verts,)).nearest(pole)[1].min() > 0.02)
+    assume(lengths._polyline_curve(verts).nearest(pole)[1].min() > 0.02)
     return verts, pole, draw(st.sampled_from([mobius_family, koebe_family]))
 
 
@@ -214,6 +214,13 @@ def test_polylines_and_polyline_arcs_share_their_shape_rules(build, message):
     # one check, worded as the arc CLI prints it, serves curves and arcs alike
     with pytest.raises(DomainError, match=message):
         build()
+
+
+def test_an_empty_check_raises_domain_error():
+    with pytest.raises(DomainError, match="at least one curve"):
+        image_curve_length(IDENTITY, [])
+    with pytest.raises(DomainError, match="at least two vertices"):
+        polyline_image_length(IDENTITY, [])
 
 
 def test_polyline_arc_reports_an_outside_vertex_before_a_repeat_and_after_a_count():
@@ -348,7 +355,7 @@ def test_polyline_lengths_match_mpmath_circular_arcs():
     while checked < 240:
         verts = _star_polyline(rng, int(rng.integers(4, 33)))
         pole = complex(0.9 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform()))
-        if not 0.05 <= lengths._polyline_curve((verts,)).nearest(pole)[1].min() <= 0.2:
+        if not 0.05 <= lengths._polyline_curve(verts).nearest(pole)[1].min() <= 0.2:
             continue
         with mp.workdps(30):
             s = mp.mpc(pole)
@@ -367,7 +374,7 @@ def test_polyline_lengths_match_mpmath_circular_arcs():
 def test_first_panels_tile_each_piece_exactly(pole):
     # graded edges are snapped to a dyadic grid, so every panel's ends are
     # exact and meet its neighbours' ends: no gap or overlap near the pole
-    polyline = lengths._polyline_curve([_star_polyline(np.random.default_rng(7), 40)])
+    polyline = lengths._polyline_curve(_star_polyline(np.random.default_rng(7), 40))
     curves = (vertical_diameter(), polyline)
     panels, counts = lengths._first_panels(curves, pole, 1e-12)
     assert len(counts) == 2 and sum(counts) == len(panels) > 39 + 1
@@ -385,18 +392,43 @@ def test_first_panels_tile_each_piece_exactly(pole):
 def test_a_check_makes_one_integrand_call_per_round():
     # I1 with T-, and a geodesic with its polyline, are one panel set: the
     # check takes as many rounds as its slower curve alone, and each length
-    # equals the one computed alone
+    # equals, bit for bit, the one computed alone
     for f in (mobius_family(0.02), koebe_family(0.3)):
-        counted, calls = _counting(f)
-        rep = verify_inequality(counted, f.pole.real, 1e-12)
-        alone = []
-        for curve in (vertical_diameter(), left_half_circle()):
-            counted_alone, calls_alone = _counting(f)
-            alone.append(image_curve_length(counted_alone, curve, 1e-12))
-            alone.append(len(calls_alone))
-        assert len(calls) == max(alone[1], alone[3])
-        assert (rep.length_i1, rep.error_i1) == alone[0]
-        assert (rep.length_tminus, rep.error_tminus) == alone[2]
+        for tol in (1e-9, 1e-12):
+            counted, calls = _counting(f)
+            rep = verify_inequality(counted, f.pole.real, tol)
+            alone = []
+            for curve in (vertical_diameter(), left_half_circle()):
+                counted_alone, calls_alone = _counting(f)
+                alone.append(image_curve_length(counted_alone, curve, tol))
+                alone.append(len(calls_alone))
+            assert len(calls) == max(alone[1], alone[3])
+            assert (rep.length_i1, rep.error_i1) == alone[0]
+            assert (rep.length_tminus, rep.error_tminus) == alone[2]
+
+    # seeded star polylines with their geodesics, the pole 0.02 to 0.3 from
+    # the polyline (and at least 0.02 from the geodesic)
+    rng = np.random.default_rng(20261019)
+    checked = 0
+    while checked < 48:
+        verts = _star_polyline(rng, int(rng.integers(4, 33)))
+        geodesic = (verts[0], verts[-1])
+        pole = complex(0.9 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform()))
+        gaps = [lengths._polyline_curve(v).nearest(pole)[1].min() for v in (geodesic, verts)]
+        if not (gaps[0] >= 0.02 and 0.02 <= gaps[1] <= 0.3):
+            continue
+        checked += 1
+        for family in (mobius_family, koebe_family):
+            for tol in (1e-9, 1e-12):
+                counted, calls = _counting(family(pole))
+                joint = polyline_image_length(counted, (geodesic, verts), tol)
+                alone, rounds = [], []
+                for v in (geodesic, verts):
+                    counted_alone, calls_alone = _counting(family(pole))
+                    alone.append(polyline_image_length(counted_alone, v, tol))
+                    rounds.append(len(calls_alone))
+                assert joint == alone, (verts, pole, family, tol)
+                assert len(calls) == max(rounds)
 
     arc = PolylineArc((-0.6j, -0.5 - 0.3j, -0.55 + 0.35j, 0.7j))
     for pole in (0.3 + 0.05j, -0.8 + 0.1j):
