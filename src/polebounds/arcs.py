@@ -301,7 +301,9 @@ def verify_arc_inequality(
     sel = arc_constant(complex(f.pole), arc, analytic_constant)
     z1, z2 = arc.endpoints
     geodesic = (complex(0.0, z1.imag), complex(0.0, z2.imag))
-    (lg, eg), (la, ea) = polyline_image_length(f, (geodesic, arc.vertices), tol)
+    (lg, eg), (la, ea) = polyline_image_length(
+        f, (geodesic, arc.vertices), tol, labels=("geodesic", "arc")
+    )
     return ArcReport(
         function_id=f.id,
         branch=sel.branch,

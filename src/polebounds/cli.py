@@ -11,6 +11,12 @@ Subcommands
 Output is ``text``, ``json`` or ``csv`` (flag ``--format``, default from the
 ``POLEBOUNDS_FORMAT`` environment variable). Exit codes: 0 success, 1 a
 verification failed, 2 usage or domain error.
+
+Each subcommand imports the modules it runs when it runs, so ``bounds``,
+``table`` and ``harmonic`` never load the quadrature (``lengths``) or the arc
+predicates (``arcs``). The defaults of ``--tol``, ``--a1-value``, ``--eps`` and
+``--seed`` are constants of those modules, so the subcommand fills them in,
+not the parser.
 """
 
 from __future__ import annotations
@@ -23,11 +29,12 @@ import math
 import os
 import sys
 
-from . import arcs, bounds, harmonic, lengths
 from .errors import PoleBoundsError
 
 FORMAT_ENV_VAR = "POLEBOUNDS_FORMAT"
 FORMATS = ("text", "json", "csv")
+#: ``sorted(lengths.FAMILIES)``, written out so that the parser needs no numpy.
+FAMILY_NAMES = ("koebe", "mobius")
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
@@ -90,7 +97,7 @@ def _fmt_text_value(v) -> str:
     return str(v)
 
 
-def _bound_record(res: bounds.BoundResult) -> dict:
+def _bound_record(res) -> dict:
     return {
         "p": res.p,
         "kind": res.kind,
@@ -103,6 +110,8 @@ def _bound_record(res: bounds.BoundResult) -> dict:
 
 
 def cmd_bounds(args, out) -> int:
+    from . import bounds
+
     if args.kind == "lb":
         res = bounds.BoundResult(p=args.p, kind="lower", value=bounds.lower_bound(args.p))
     elif args.kind == "closed":
@@ -114,6 +123,8 @@ def cmd_bounds(args, out) -> int:
 
 
 def cmd_table(args, out) -> int:
+    from . import bounds
+
     p_list = args.p if args.p else list(bounds.DEFAULT_TABLE_P)
     records = [
         {
@@ -143,12 +154,15 @@ def cmd_table(args, out) -> int:
 
 
 def cmd_verify(args, out) -> int:
+    from . import lengths
+
     family = lengths.FAMILIES[args.family]
     p_values = args.grid if args.grid else [args.p]
+    tol = lengths.DEFAULT_LENGTH_TOL if args.tol is None else args.tol
     records = []
     all_passed = True
     for p in p_values:
-        rep = lengths.verify_inequality(family(p), p, args.tol)
+        rep = lengths.verify_inequality(family(p), p, tol)
         all_passed &= rep.passed
         records.append(
             {
@@ -166,11 +180,15 @@ def cmd_verify(args, out) -> int:
 
 
 def cmd_arc(args, out) -> int:
+    from . import arcs, lengths
+
+    tol = lengths.DEFAULT_LENGTH_TOL if args.tol is None else args.tol
+    a1_value = arcs.DEFAULT_ANALYTIC_CONSTANT if args.a1_value is None else args.a1_value
     pole, arc = arcs.load_polyline_instance(args.file)
     z1, z2 = arc.endpoints
     inst = arcs.normalize_to_axis(pole, z1, z2, arc)
     f = lengths.FAMILIES[args.family](inst.s)
-    rep = arcs.verify_arc_inequality(f, inst.arc, args.tol, args.a1_value)
+    rep = arcs.verify_arc_inequality(f, inst.arc, tol, a1_value)
     emit(
         [
             {
@@ -193,6 +211,8 @@ def cmd_arc(args, out) -> int:
 
 
 def cmd_harmonic(args, out) -> int:
+    from . import harmonic
+
     z = args.z
     value = harmonic.hm_omega1(z, args.a, args.b, args.p)
     rec = {
@@ -207,8 +227,10 @@ def cmd_harmonic(args, out) -> int:
         rec["sandwich_lo"] = harmonic.arccot(harmonic.measure_cot_bound(args.p, args.b / args.a)) / math.pi
         rec["sandwich_hi"] = 0.5
     if args.wos:
+        eps = harmonic.DEFAULT_WOS_EPS if args.eps is None else args.eps
+        seed = harmonic.DEFAULT_SEED if args.seed is None else args.seed
         est = harmonic.wos_harmonic_measure(
-            z, args.a, args.b, args.p, n_walks=args.wos, eps=args.eps, seed=args.seed
+            z, args.a, args.b, args.p, n_walks=args.wos, eps=eps, seed=seed
         )
         rec["wos_mean"] = est.mean
         rec["wos_stderr"] = est.stderr
@@ -247,24 +269,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.set_defaults(func=cmd_table)
 
     p_verify = sub.add_parser("verify", help="length-ratio checks for a built-in family")
-    p_verify.add_argument("--family", choices=sorted(lengths.FAMILIES), required=True)
+    p_verify.add_argument("--family", choices=FAMILY_NAMES, required=True)
     group = p_verify.add_mutually_exclusive_group(required=True)
     group.add_argument("--p", type=float)
     group.add_argument("--grid", type=parse_grid, help="pole grid as start:stop:step")
-    p_verify.add_argument("--tol", type=float, default=lengths.DEFAULT_LENGTH_TOL)
+    p_verify.add_argument("--tol", type=float)
     add_format(p_verify)
     p_verify.set_defaults(func=cmd_verify)
 
     p_arc = sub.add_parser("arc", help="arc-vs-geodesic check for a polyline file")
     p_arc.add_argument("--file", required=True)
-    p_arc.add_argument("--family", choices=sorted(lengths.FAMILIES), required=True)
-    p_arc.add_argument(
-        "--a1-value",
-        type=float,
-        default=arcs.DEFAULT_ANALYTIC_CONSTANT,
-        help="analytic-case constant for the outside branch",
-    )
-    p_arc.add_argument("--tol", type=float, default=lengths.DEFAULT_LENGTH_TOL)
+    p_arc.add_argument("--family", choices=FAMILY_NAMES, required=True)
+    p_arc.add_argument("--a1-value", type=float, help="analytic-case constant for the outside branch")
+    p_arc.add_argument("--tol", type=float)
     add_format(p_arc)
     p_arc.set_defaults(func=cmd_arc)
 
@@ -274,8 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_hm.add_argument("--b", type=float, required=True)
     p_hm.add_argument("--p", type=float, required=True)
     p_hm.add_argument("--wos", type=int, default=0, help="add a Monte Carlo estimate with N walks")
-    p_hm.add_argument("--eps", type=float, default=harmonic.DEFAULT_WOS_EPS)
-    p_hm.add_argument("--seed", type=int, default=harmonic.DEFAULT_SEED)
+    p_hm.add_argument("--eps", type=float)
+    p_hm.add_argument("--seed", type=int)
     add_format(p_hm)
     p_hm.set_defaults(func=cmd_harmonic)
 

@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable
@@ -441,6 +442,9 @@ def _image_lengths(
     tol = _check_positive(tol, "tol must be positive and finite")
     if not curves:
         raise DomainError("a length check needs at least one curve")
+    for curve in curves:
+        if not isinstance(curve, Curve):
+            raise DomainError(f"expected a Curve, got {curve!r}")
     panels, counts = _first_panels(curves, complex(f.pole), tol)
     return _gauss_kronrod(f.derivative, curves, panels, counts, tol)
 
@@ -454,21 +458,31 @@ def image_curve_length(f: TestFunction, curve, tol: float = DEFAULT_LENGTH_TOL):
     :data:`POLE_GUARD_DISTANCE`; raises :class:`QuadratureError` when the
     quadrature cannot reach ``tol``.
     """
-    if isinstance(curve, Curve):
+    if isinstance(curve, Curve) or not isinstance(curve, Iterable):
         return _image_lengths(f, (curve,), tol)[0]
     return _image_lengths(f, tuple(curve), tol)
 
 
-def polyline_image_length(f: TestFunction, vertices, tol: float = DEFAULT_LENGTH_TOL):
+def polyline_image_length(
+    f: TestFunction, vertices, tol: float = DEFAULT_LENGTH_TOL, labels: tuple[str, ...] = ()
+):
     """Image length of a polyline, all segments in one quadrature, ``err <= tol``.
 
     ``vertices`` may also be a sequence of polylines, one curve each: they
     are integrated as one panel set, and a list with one ``(length, err)``
-    per polyline comes back.
+    per polyline comes back. ``labels``, one per polyline, name them in a
+    :class:`PoleProximityError`; each is ``'polyline'`` by default.
     """
-    if len(vertices) and np.ndim(vertices[0]):
-        return _image_lengths(f, tuple(map(_polyline_curve, vertices)), tol)
-    return _image_lengths(f, (_polyline_curve(vertices),), tol)[0]
+    try:
+        many = len(vertices) > 0 and np.ndim(vertices[0]) > 0
+    except TypeError:
+        raise DomainError(f"expected a sequence of vertices, got {vertices!r}") from None
+    polylines = tuple(vertices) if many else (vertices,)
+    labels = labels or ("polyline",) * len(polylines)
+    if len(labels) != len(polylines):
+        raise DomainError(f"{len(labels)} labels for {len(polylines)} polylines")
+    results = _image_lengths(f, tuple(map(_polyline_curve, polylines, labels)), tol)
+    return results if many else results[0]
 
 
 def _conservative_verdict(

@@ -1,6 +1,11 @@
-"""The public API of the package, pinned by name."""
+"""The public API of the package, pinned by name, and what importing it loads."""
 
+import json
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import polebounds
 
@@ -25,10 +30,54 @@ PUBLIC_NAMES = [
 
 
 def test_public_names_are_pinned():
-    # Submodules are left out: importing one (polebounds.cli, say) anywhere in
-    # the session binds it as an attribute of the package.
+    # The package resolves its names on first access, so they are read from
+    # dir(), each one resolved. Submodules are left out: importing one
+    # (polebounds.cli, say) anywhere in the session binds it on the package.
     names = sorted(
-        n for n, v in vars(polebounds).items()
-        if not n.startswith("_") and not isinstance(v, types.ModuleType)
+        n for n in dir(polebounds)
+        if not n.startswith("_") and not isinstance(getattr(polebounds, n), types.ModuleType)
     )
     assert names == PUBLIC_NAMES
+    assert polebounds.__all__ == PUBLIC_NAMES
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from polebounds import *", namespace)
+    assert sorted(n for n in namespace if n != "__builtins__") == PUBLIC_NAMES
+
+
+#: Run in a fresh interpreter: what ``import polebounds`` and ``table`` load.
+_LOADED_PROBE = """
+import io, json, sys
+
+def loaded():
+    return sorted(m for m in sys.modules if m == "numpy" or m.startswith("polebounds."))
+
+import polebounds
+after_import = loaded()
+try:
+    polebounds.nonexistent
+    unknown = "resolved"
+except AttributeError:
+    unknown = "AttributeError"
+from polebounds import cli
+code = cli.main(["table", "--p", "0.5"], out=io.StringIO())
+print(json.dumps({"after_import": after_import, "unknown": unknown, "code": code,
+                  "after_table": loaded()}))
+"""
+
+
+def test_import_loads_no_submodule_and_table_no_quadrature():
+    src = str(Path(polebounds.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-c", _LOADED_PROBE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    facts = json.loads(proc.stdout)
+    assert facts["after_import"] == []
+    assert facts["unknown"] == "AttributeError"
+    assert facts["code"] == 0
+    assert "polebounds.bounds" in facts["after_table"]
+    assert not {"polebounds.lengths", "polebounds.arcs"} & set(facts["after_table"])

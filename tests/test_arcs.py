@@ -13,6 +13,7 @@ from polebounds import (
     DegenerateGeometryError,
     DomainError,
     HypothesisViolationError,
+    PoleProximityError,
     PolylineArc,
     arc_constant,
     enclosed_axis_segment,
@@ -397,6 +398,20 @@ def test_verify_arc_equal_to_geodesic(family):
     assert rep.branch == "outside_hull"
     assert rep.ratio == pytest.approx(1.0, rel=1e-12)
     assert rep.passed
+
+
+@pytest.mark.parametrize(
+    "arc, pole, label",
+    [
+        (PolylineArc((-0.5j, 0.3 - 0.1j, 0.5j)), 0.3 + 4e-7 - 0.1j, "arc"),
+        (J_LEFT, 4e-7 + 0.1j, "geodesic"),
+    ],
+    ids=["arc", "geodesic"],
+)
+def test_pole_proximity_names_the_curve(arc, pole, label):
+    # both curves of the check were labelled 'polyline'
+    with pytest.raises(PoleProximityError, match=f"^curve '{label}' passes within 4e-07 "):
+        verify_arc_inequality(mobius_family(pole), arc)
 
 
 def test_verify_with_self_computed_fallback_constant():

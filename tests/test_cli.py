@@ -11,7 +11,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from polebounds.cli import main, parse_complex, parse_grid
+from polebounds import arcs, harmonic, lengths
+from polebounds.cli import FAMILY_NAMES, main, parse_complex, parse_grid
 
 
 def run(argv):
@@ -244,6 +245,16 @@ def test_arc_a1_value_not_positive_and_finite_exits_2(tmp_path, capsys, value):
     assert err.count("\n") == 1 and "analytic constant" in err
 
 
+def test_arc_pole_near_the_arc_names_the_arc(tmp_path, capsys):
+    path = tmp_path / "near.txt"
+    path.write_text("pole 0.3000004 -0.1\n0.0 -0.5\n0.3 -0.1\n0.0 0.5\n")
+    code, text = run(["arc", "--file", str(path), "--family", "mobius"])
+    assert (code, text) == (2, "")
+    assert capsys.readouterr().err == (
+        "error: curve 'arc' passes within 4e-07 of the pole (0.3000004-0.1j)\n"
+    )
+
+
 def test_arc_missing_file_exits_2():
     code, _ = run(["arc", "--file", "/nonexistent.txt", "--family", "mobius"])
     assert code == 2
@@ -320,6 +331,32 @@ def test_verify_and_arc_json_are_pinned(command, family, arg, capsys):
     code, text = run([command, "--family", family, *where, "--format", "json"])
     assert (code, text) == (0, PINNED_JSON[command, family, arg])
     assert capsys.readouterr().err == ""
+
+
+# ------------------------------------------------------- options and defaults
+
+
+def test_family_choices_are_the_built_in_families():
+    # written out in the parser, which loads no quadrature
+    assert FAMILY_NAMES == tuple(sorted(lengths.FAMILIES))
+
+
+@pytest.mark.parametrize(
+    "argv, defaults",
+    [
+        (["verify", "--family", "mobius", "--p", "0.5"],
+         ["--tol", repr(lengths.DEFAULT_LENGTH_TOL)]),
+        (["arc", "--file", str(INSTANCES / "outside_branch.txt"), "--family", "koebe"],
+         ["--a1-value", repr(arcs.DEFAULT_ANALYTIC_CONSTANT),
+          "--tol", repr(lengths.DEFAULT_LENGTH_TOL)]),
+        (["harmonic", "--z", "0,2", "--a", "1", "--b", "4", "--p", "0.5", "--wos", "200"],
+         ["--eps", repr(harmonic.DEFAULT_WOS_EPS), "--seed", str(harmonic.DEFAULT_SEED)]),
+    ],
+    ids=["verify", "arc", "harmonic"],
+)
+def test_omitted_options_take_the_module_defaults(argv, defaults):
+    for fmt in ("text", "json"):
+        assert run([*argv, "--format", fmt]) == run([*argv, *defaults, "--format", fmt])
 
 
 # ------------------------------------------------------------------- harmonic

@@ -223,6 +223,31 @@ def test_an_empty_check_raises_domain_error():
         polyline_image_length(IDENTITY, [])
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: image_curve_length(IDENTITY, 5),
+        lambda: image_curve_length(IDENTITY, [5]),
+        lambda: polyline_image_length(IDENTITY, 5),
+    ],
+    ids=["number", "list-of-number", "number-as-vertices"],
+)
+def test_a_malformed_curve_raises_domain_error(call):
+    # these raised TypeError or AttributeError
+    with pytest.raises(DomainError, match="expected a"):
+        call()
+
+
+def test_polyline_labels_name_the_curves():
+    polylines = ((-0.5j, 0.5j), (-0.5j, 0.3 - 0.1j, 0.5j))
+    with pytest.raises(PoleProximityError, match="^curve 'second' "):
+        polyline_image_length(
+            mobius_family(0.3 + 4e-7 - 0.1j), polylines, labels=("first", "second")
+        )
+    with pytest.raises(DomainError, match="1 labels for 2 polylines"):
+        polyline_image_length(IDENTITY, polylines, labels=("first",))
+
+
 def test_polyline_arc_reports_an_outside_vertex_before_a_repeat_and_after_a_count():
     with pytest.raises(DomainError, match="at least two"):
         PolylineArc((2.0,))
