@@ -10,9 +10,10 @@ over built-in univalent families.
 
 The public names load lazily (PEP 562): ``import polebounds`` imports no
 submodule and not numpy. The first access to a name imports the submodule
-that defines it, and numpy with it where that submodule needs arrays
-(``bounds``, ``harmonic``, ``lengths`` and ``arcs`` do; ``conformal``,
-``hyperbolic`` and ``errors`` do not).
+that defines it, and numpy with it where that submodule needs arrays:
+``lengths`` and ``arcs`` do, and ``wos_harmonic_measure`` imports it when it
+runs; ``bounds``, ``harmonic``, ``conformal``, ``hyperbolic`` and ``errors``
+are plain ``math``.
 """
 
 import importlib

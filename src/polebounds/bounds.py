@@ -18,8 +18,9 @@ itself is not computable; this module evaluates the known bounds:
 * ``limit_bound``        -- the ``p -> 1`` limit of ``measure_bound``, the
                             bound for the no-pole (analytic) case.
 
-``minimize_over_q`` samples the bracket ``q`` in [2.5, 6.5] in three zooming
-rounds, all in array calls; outside it every bound is monotone in ``q``.
+``minimize_over_q`` bisects the sign of the slope ``d log B / d log(q - 1)``
+on the bracket ``q`` in [2.5, 6.5]: the slope is proven increasing there, and
+every bound monotone outside it. Everything here is ``math`` on floats.
 """
 
 from __future__ import annotations
@@ -28,8 +29,6 @@ import math
 import warnings
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Context, Decimal
-
-import numpy as np
 
 from .conformal import _check_positive, _check_unit_interval
 from .errors import DomainError, NumericalConditionWarning
@@ -70,30 +69,75 @@ def lower_bound(p: float) -> float:
 
 def _scaled_cot_sq(p, q, theta):
     """``(1+p^2) log(q) / (2p) * cot^2(theta/4)``: the shape of both upper bounds."""
-    return (1.0 + p * p) * np.log(q) / (2.0 * p) * (1.0 / np.tan(theta / 4.0) ** 2)
+    return (1.0 + p * p) * math.log(q) / (2.0 * p) * (1.0 / math.tan(theta / 4.0) ** 2)
 
 
-def _angle_formula(p, q):
-    """The formula of :func:`angle_bound`, unchecked; ``q`` may be an array.
+def _angle_k(p):
+    """``k = (1 - p^2) / (2p)`` and ``1 - k = (p - sqrt(2) + 1)(p + sqrt(2) + 1) / (2p)``.
 
-    ``atan(x) - atan(k x)``, ``x = (q-1)/(q+1)``, as ``atan((1-k) x / (1 + k x^2))``
-    with ``1 - k = (p - sqrt(2) + 1)(p + sqrt(2) + 1) / (2p)``: nothing cancels near sqrt(2) - 1.
+    The second form of ``1 - k`` does not cancel near sqrt(2) - 1.
     """
-    x = (q - 1.0) / (q + 1.0)
-    k = (1.0 - p * p) / (2.0 * p)
     # sqrt(2) - 1 is ANGLE_BOUND_MIN_P plus a residual, so p - (sqrt(2) - 1) keeps its digits
     one_minus_k = (p - ANGLE_BOUND_MIN_P - 1.4349369327986523e-17) * (p + 1.0 + math.sqrt(2.0))
-    one_minus_k /= 2.0 * p
-    return _scaled_cot_sq(p, q, np.arctan(one_minus_k * x / (1.0 + k * x * x)))
+    return (1.0 - p * p) / (2.0 * p), one_minus_k / (2.0 * p)
 
 
-def _measure_formula(p, q):
-    """The formula of :func:`measure_bound`, unchecked; ``q`` may be an array.
+def _angle_value(p, q):
+    """The formula of :func:`angle_bound`, unchecked.
+
+    ``atan(x) - atan(k x)``, ``x = (q-1)/(q+1)``, as ``atan((1-k) x / (1 + k x^2))``.
+    """
+    x = (q - 1.0) / (q + 1.0)
+    k, one_minus_k = _angle_k(p)
+    return _scaled_cot_sq(p, q, math.atan(one_minus_k * x / (1.0 + k * x * x)))
+
+
+def _measure_value(p, q):
+    """The formula of :func:`measure_bound`, unchecked.
 
     At ``p = 1`` it is :func:`limit_bound` exactly: the second term of the
     cotangent bound is ``0.0`` and the prefactor ``(1+p^2)/(2p)`` is ``1.0``.
     """
-    return _scaled_cot_sq(p, q, np.arctan2(1.0, _measure_cot(p, q)))
+    return _scaled_cot_sq(p, q, math.atan2(1.0, _measure_cot(p, q)))
+
+
+# The slope S = d log B / dt, t = log(q - 1), of a bound c log(q) cot^2(theta/4)
+# with theta = atan(s) and s a function of x = (q - 1)/(q + 1) is
+#
+#     S = (q - 1)/(q log q) - (1 - x) g sqrt(2r(r + 1)) / (1 + s^2),
+#
+# where g = x s'(x) / s and r = sqrt(1 + s^2). Both kinds of s are written as in
+# tests/test_bounds.py, which proves in mpmath.iv that S rises through the bracket.
+
+
+def _slope(q, x, s, g):
+    s2 = s * s
+    r = math.sqrt(1.0 + s2)
+    root = math.sqrt(2.0 * r * (r + 1.0))
+    return (q - 1.0) / (q * math.log(q)) - (1.0 - x) * g * root / (1.0 + s2)
+
+
+def _angle_slope(p, q):
+    """``S`` of the angle bound: ``s = (1-k) x / (1 + k x^2)``."""
+    x = (q - 1.0) / (q + 1.0)
+    k, one_minus_k = _angle_k(p)
+    kx2 = k * x * x
+    return _slope(q, x, one_minus_k * x / (1.0 + kx2), (1.0 - kx2) / (1.0 + kx2))
+
+
+def _measure_slope(p, q):
+    """``S`` of the measure bound, in ``a = 2p / (1 + p^2)`` and ``y = sqrt(1 - x^2)``.
+
+    ``s = 2ax(1 + ay) / (1 + 2a - a^2 + (1 - a^2) x^2 + 2a^2 y)`` is ``1 / cot bound``.
+    """
+    a = 2.0 * p / (1.0 + p * p)
+    x = (q - 1.0) / (q + 1.0)
+    aa, x2 = a * a, x * x
+    y = math.sqrt(1.0 - x2)
+    den = 1.0 + 2.0 * a - aa + (1.0 - aa) * x2 + 2.0 * aa * y
+    s = 2.0 * a * x * (1.0 + a * y) / den
+    g = 1.0 - a * x2 / (y * (1.0 + a * y)) - 2.0 * x2 * (1.0 - aa - aa / y) / den
+    return _slope(q, x, s, g)
 
 
 def _check_angle_p(p: float) -> float:
@@ -111,12 +155,12 @@ def _check_p_up_to_one(p: float) -> float:
     return float(p)
 
 
-#: kind -> (check of ``p``, returning the ``p`` to evaluate at; array formula).
+#: kind -> (check of ``p``, returning the ``p`` to evaluate at; value; slope ``S``).
 _KINDS = {
-    "angle": (_check_angle_p, _angle_formula),
-    "measure": (lambda p: _check_unit_interval(p, "p"), _measure_formula),
+    "angle": (_check_angle_p, _angle_value, _angle_slope),
+    "measure": (lambda p: _check_unit_interval(p, "p"), _measure_value, _measure_slope),
     # The limit is the bound at p = 1, for any pole in (0, 1].
-    "limit": (lambda p: _check_p_up_to_one(p) and 1.0, _measure_formula),
+    "limit": (lambda p: _check_p_up_to_one(p) and 1.0, _measure_value, _measure_slope),
 }
 
 #: Kinds accepted by :func:`minimize_over_q`.
@@ -128,7 +172,7 @@ def _checked_bound(kind: str, p: float, q: float) -> float:
 
     The warning names the caller of the public wrapper, which calls this directly.
     """
-    check, formula = _KINDS[kind]
+    check, formula, _ = _KINDS[kind]
     value = _checked_at_q(formula, check(p), q, f"{kind} bound")
     # Near q = 1 the bound is ~ c / (q - 1), so d log B / d log q ~ -q / (q - 1).
     condition = q / (q - 1.0)
@@ -205,67 +249,51 @@ def cot_of_scaled_arccot(x: float, k: float) -> float:
     return _check_positive(value, "cot(k * arccot(x)) overflows at x={1!r}, k={2!r}", x, k)
 
 
-#: The bracket of every minimum in ``t = log(q - 1)``: ``q`` in [2.5, 6.5].
-_T_BRACKET = (math.log(1.5), math.log(5.5))
-
-#: Offsets of one round, in half-widths: 65 points linear in ``t = log(q - 1)``.
-_ROUND = np.linspace(-1.0, 1.0, 65)
-_ROUNDS = 3
+#: The bracket of every minimum: below it each bound falls, above it each rises.
+_Q_BRACKET = (2.5, 6.5)
 
 
-@np.errstate(all="ignore")
 def minimize_over_q(p: float, kind: str) -> BoundResult:
     """Minimize one of the ``q``-parameterized bounds over ``q`` in (1, inf).
 
-    Three rounds of 65 points, linear in ``t = log(q - 1)``, take one array
-    call each: the first spans the bracket ``q`` in [2.5, 6.5], each later one
-    the two cells around the previous argmin (an edge argmin keeps its inner
-    neighbour's). ``q_star`` is the vertex of the parabola through the last
-    round's best three points, or that best point when its value is lower.
-    ``bracket`` is the first round's two cells around its argmin.
+    Bisects the sign of the slope ``S = d log B / dt``, ``t = log(q - 1)``, on
+    the bracket ``q`` in [2.5, 6.5] until the midpoint equals an end: about 53
+    slope calls, then one value at ``q_star``, that end. ``bracket`` is the
+    last bisection bracket: two adjacent doubles, one of them ``q_star``.
 
-    Proven (``S = d log B / dt`` in ``mpmath.iv``, ``tests/test_bounds.py``):
-    for every pole of every kind, ``S < 0`` on [1 + 1e-6, 2.5] and ``S > 0``
-    on [6.5, 1 + 1e8]. Assumed: the minimum lies in the two cells around the
-    first round's argmin. numpy is silenced, whatever the caller's state;
-    a minimum that overflows (measure, ``p`` below ~2.7e-103) is a DomainError.
+    Proven (``mpmath.iv``, ``tests/test_bounds.py``), for every pole of every
+    kind: ``S < 0`` on [1 + 1e-6, 2.5], ``S > 0`` on [6.5, 1 + 1e8] and
+    ``dS/dq > 0`` on [2.5, 6.5], so the one sign change of ``S`` is the
+    minimum. A minimum that overflows (measure, ``p`` below ~2.7e-103) is a
+    DomainError.
 
-    The value is accurate to roundoff, and ``q_star`` within 2e-10 of a
-    40-digit mpmath argmin for the measure bound at ``p`` in [1e-100, 0.999]
-    and the angle bound at ``p >= sqrt(2) - 1 + 1e-6``.
+    ``q_star`` is within 1e-14 of a 40-digit mpmath argmin for the measure
+    bound at ``p`` in [1e-100, 0.999] and the angle bound at ``p`` in
+    (sqrt(2) - 1, 1). The value is within 1e-15 of the minimum for the
+    measure bound, and 1.1e-15 (6 ulp) for the angle bound near sqrt(2) - 1,
+    the rounding of its formula.
     """
     if kind not in _KINDS:
         raise DomainError(f"kind must be one of {MINIMIZABLE_KINDS}, got {kind!r}")
-    check, formula = _KINDS[kind]
+    check, value, slope = _KINDS[kind]
     p = check(p)
 
-    a, b = _T_BRACKET
-    c, h = 0.5 * (a + b), 0.5 * (b - a)
-    for i in range(_ROUNDS):
-        t = c + h * _ROUND
-        f = formula(p, 1.0 + np.exp(t))
-        k = min(max(int(np.argmin(f)), 1), len(_ROUND) - 2)
-        if i == 0:
-            bracket = (1.0 + math.exp(t[k - 1]), 1.0 + math.exp(t[k + 1]))
-        c, h = float(t[k]), 2.0 * h / (len(_ROUND) - 1)
-
-    # Relative to the middle value, so that the curvature cannot overflow.
-    f0, f1, f2 = f[k - 1 : k + 2] / f[k]
-    curvature = f0 - 2.0 * f1 + f2
-    shift = 0.5 * h * (f0 - f2) / curvature if curvature > 0.0 else 0.0
-    q_best = 1.0 + math.exp(c)
-    q_star = 1.0 + math.exp(c + min(max(shift, -h), h))
-    value, best = float(formula(p, q_star)), float(formula(p, q_best))
-    if not value <= best:
-        # The parabola missed a non-parabolic wiggle, or overflowed: keep the sampled point.
-        q_star, value = q_best, best
+    lo, hi = _Q_BRACKET
+    mid, calls = 0.5 * (lo + hi), 0
+    while lo < mid < hi:
+        calls += 1
+        if slope(p, mid) > 0.0:
+            hi = mid
+        else:
+            lo = mid
+        mid = 0.5 * (lo + hi)
     return BoundResult(
         p=p,
         kind=kind,
-        value=_check_positive(value, "the {1} bound overflows at p={2!r}", kind, p),
-        q_star=q_star,
-        evaluations=_ROUNDS * len(_ROUND) + 1,
-        bracket=bracket,
+        value=_checked_at_q(value, p, mid, f"{kind} bound"),
+        q_star=mid,
+        evaluations=calls + 1,
+        bracket=(lo, hi),
     )
 
 

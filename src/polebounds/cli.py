@@ -14,7 +14,8 @@ verification failed, 2 usage or domain error.
 
 Each subcommand imports the modules it runs when it runs, so ``bounds``,
 ``table`` and ``harmonic`` never load the quadrature (``lengths``) or the arc
-predicates (``arcs``). The defaults of ``--tol``, ``--a1-value``, ``--eps`` and
+predicates (``arcs``), nor numpy, which only ``verify``, ``arc`` and
+``harmonic --wos`` load. The defaults of ``--tol``, ``--a1-value``, ``--eps`` and
 ``--seed`` are constants of those modules, so the subcommand fills them in,
 not the parser.
 """

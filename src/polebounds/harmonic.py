@@ -5,7 +5,8 @@ on Omega1 it pulls back through the conformal map ``psi`` of
 :func:`polebounds.conformal.omega1_to_halfplane`, which sends positive-axis
 segments to positive-axis segments; each is one ``atan2`` in which nothing
 cancels. The walk-on-spheres estimator is an independent stochastic oracle
-for the same quantities: it never touches the exact formulas.
+for the same quantities: it never touches the exact formulas. It is the only
+part that needs numpy, and imports it when it runs; the rest is ``math``.
 
 ``measure_cot_bound`` is the closed-form upper bound for ``cot(pi * omega)``
 on the vertical segment ``[ia, ib]``; together with the half-plane comparison
@@ -21,8 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .conformal import _check_positive, _check_unit_interval, as_complex
 from .errors import DomainError, WalkCapError
@@ -121,20 +120,27 @@ def hm_omega1(z: complex, a: float, b: float, p: float) -> float:
 
 
 def _measure_cot(p, q):
-    """The formula of :func:`measure_cot_bound`, unchecked; ``q`` may be an array."""
+    """The formula of :func:`measure_cot_bound`, unchecked."""
     first = (q + 1.0) / (q - 1.0)
     second = (1.0 - p * p) ** 2 * (1.0 + q * q) / (
-        2.0 * p * (q - 1.0) * (4.0 * p * np.sqrt(q) + (1.0 + q) * (1.0 + p * p))
+        2.0 * p * (q - 1.0) * (4.0 * p * math.sqrt(q) + (1.0 + q) * (1.0 + p * p))
     )
     return first + second
 
 
-@np.errstate(all="ignore")
 def _checked_at_q(formula, p: float, q: float, what: str) -> float:
-    """``formula(p, q)`` at ``q > 1``, numpy silenced: a positive finite float, else DomainError."""
+    """``formula(p, q)`` at ``q > 1``: a positive finite float, else DomainError.
+
+    A formula that divides by zero or overflows a ``**`` has overflowed the
+    double, so that is a DomainError too.
+    """
     if not q > 1.0:
         raise DomainError(f"q must exceed 1, got {q!r}")
-    return _check_positive(formula(p, q), "the {1} overflows at p={2!r}, q={3!r}", what, p, q)
+    try:
+        value = formula(p, float(q))
+    except (ZeroDivisionError, OverflowError):
+        value = math.inf
+    return _check_positive(value, "the {1} overflows at p={2!r}, q={3!r}", what, p, q)
 
 
 def measure_cot_bound(p: float, q: float) -> float:
@@ -161,7 +167,6 @@ class WosEstimate:
     n_capped: int
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def wos_harmonic_measure(
     z: complex,
     a: float,
@@ -187,6 +192,8 @@ def wos_harmonic_measure(
     All walks advance in lockstep on a single seeded generator, so a given
     ``(inputs, seed)`` pair always reproduces the same estimate.
     """
+    import numpy as np
+
     zz = as_complex(z)
     if n_walks < 1:
         raise DomainError("n_walks must be at least 1")
@@ -213,31 +220,32 @@ def wos_harmonic_measure(
             f"eps={eps!r} must be below the start's distance {start!r} to the boundary"
         )
 
-    # pts holds the live walks only, in their original order, so each draws
-    # the same variates as it would in a walk-indexed array
-    rng = np.random.default_rng(seed)
-    pts = np.full(n_walks, complex(zz), dtype=np.complex128)
-    hits = capped = 0
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing walk is a miss
+        # pts holds the live walks only, in their original order, so each draws
+        # the same variates as it would in a walk-indexed array
+        rng = np.random.default_rng(seed)
+        pts = np.full(n_walks, complex(zz), dtype=np.complex128)
+        hits = capped = 0
 
-    for _ in range(WOS_STEP_CAP):
-        if pts.size == 0:
-            break
-        gap = _omega1_gap(pts, disk)
-        dist = np.minimum(pts.imag, gap)
-        absorb = ~(dist >= eps)  # a nan walk overflowed: absorbed, and scores 0
-        if absorb.any():
-            zdone = pts[absorb]
-            nearest_on_axis = zdone.imag <= gap[absorb]
-            x = zdone.real
-            hits += int(np.count_nonzero(nearest_on_axis & (x >= a) & (x <= b)))
-            keep = ~absorb
-            pts = pts[keep]
-            dist = dist[keep]
-        if pts.size:
-            theta = rng.uniform(0.0, 2.0 * math.pi, pts.size)
-            pts += dist * np.exp(1j * theta)
-    else:
-        capped = int(pts.size)
+        for _ in range(WOS_STEP_CAP):
+            if pts.size == 0:
+                break
+            gap = _omega1_gap(pts, disk)
+            dist = np.minimum(pts.imag, gap)
+            absorb = ~(dist >= eps)  # a nan walk overflowed: absorbed, and scores 0
+            if absorb.any():
+                zdone = pts[absorb]
+                nearest_on_axis = zdone.imag <= gap[absorb]
+                x = zdone.real
+                hits += int(np.count_nonzero(nearest_on_axis & (x >= a) & (x <= b)))
+                keep = ~absorb
+                pts = pts[keep]
+                dist = dist[keep]
+            if pts.size:
+                theta = rng.uniform(0.0, 2.0 * math.pi, pts.size)
+                pts += dist * np.exp(1j * theta)
+        else:
+            capped = int(pts.size)
 
     n_used = n_walks - capped
     if n_used == 0:

@@ -217,7 +217,12 @@ def _polyline_curve(vertices, label: str = "polyline") -> Curve:
     as precise as the panel is narrow.
     """
     _check_polyline(vertices)
-    verts = np.array(vertices, dtype=complex)
+    try:
+        verts = np.array(vertices, dtype=complex)
+    except (TypeError, ValueError):
+        verts = None
+    if verts is None or verts.ndim != 1 or not np.isfinite(verts).all():
+        raise DomainError(f"polyline vertices must be finite complex numbers, got {vertices!r}")
     starts, steps = verts[:-1], verts[1:] - verts[:-1]
     pieces = np.empty((3, len(steps)))
     pieces[_START] = 0.0

@@ -47,7 +47,8 @@ def test_star_import_binds_every_public_name():
     assert sorted(n for n in namespace if n != "__builtins__") == PUBLIC_NAMES
 
 
-#: Run in a fresh interpreter: what ``import polebounds`` and ``table`` load.
+#: Run in a fresh interpreter: what ``import polebounds`` and each subcommand
+#: (the argv lists in ``sys.argv[1]``, run in order) load.
 _LOADED_PROBE = """
 import io, json, sys
 
@@ -55,29 +56,43 @@ def loaded():
     return sorted(m for m in sys.modules if m == "numpy" or m.startswith("polebounds."))
 
 import polebounds
-after_import = loaded()
+facts = {"import": loaded()}
 try:
     polebounds.nonexistent
-    unknown = "resolved"
+    facts["unknown"] = "resolved"
 except AttributeError:
-    unknown = "AttributeError"
+    facts["unknown"] = "AttributeError"
 from polebounds import cli
-code = cli.main(["table", "--p", "0.5"], out=io.StringIO())
-print(json.dumps({"after_import": after_import, "unknown": unknown, "code": code,
-                  "after_table": loaded()}))
+facts["runs"] = [[cli.main(argv, out=io.StringIO()), loaded()] for argv in json.loads(sys.argv[1])]
+print(json.dumps(facts))
 """
+
+_HARMONIC = ["harmonic", "--z", "0,2", "--a", "1", "--b", "4", "--p", "0.5"]
+
+#: Subcommands that load no numpy, then the one that loads it last.
+_NUMPY_FREE = [
+    ["table", "--p", "0.5"],
+    ["table"],
+    *(["bounds", "--p", "0.5", "--kind", kind] for kind in ("lb", "angle", "closed", "measure")),
+    ["bounds", "--p", "1", "--kind", "limit"],
+    _HARMONIC,
+]
 
 
 def test_import_loads_no_submodule_and_table_no_quadrature():
     src = str(Path(polebounds.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    proc = subprocess.run([sys.executable, "-c", _LOADED_PROBE], env=env,
+    argvs = [*_NUMPY_FREE, [*_HARMONIC, "--wos", "10"]]
+    proc = subprocess.run([sys.executable, "-c", _LOADED_PROBE, json.dumps(argvs)], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     facts = json.loads(proc.stdout)
-    assert facts["after_import"] == []
+    assert facts["import"] == []
     assert facts["unknown"] == "AttributeError"
-    assert facts["code"] == 0
-    assert "polebounds.bounds" in facts["after_table"]
-    assert not {"polebounds.lengths", "polebounds.arcs"} & set(facts["after_table"])
+    *numpy_free, (wos_code, after_wos) = facts["runs"]
+    for argv, (code, after) in zip(_NUMPY_FREE, numpy_free):
+        assert code == 0, argv
+        assert not {"numpy", "polebounds.lengths", "polebounds.arcs"} & set(after), argv
+    assert "polebounds.bounds" in numpy_free[0][1]
+    assert wos_code == 0 and "numpy" in after_wos

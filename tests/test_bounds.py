@@ -22,7 +22,8 @@ from polebounds import (
     scaled_cot_bound,
     table_rows,
 )
-from polebounds.bounds import _angle_formula, _measure_formula, round_half_up
+from polebounds.bounds import _KINDS, _Q_BRACKET, round_half_up
+from polebounds.harmonic import _checked_at_q
 
 RNG = np.random.default_rng(123)
 
@@ -141,6 +142,17 @@ def test_condition_rule_matches_mpmath():
                     assert ratio >= 0.9999, (bound.__name__, p)
 
 
+def test_formula_overflow_and_zero_division_are_domain_errors():
+    # math raises where numpy warned: a ** that overflows, a division by zero
+    with pytest.raises(DomainError, match="overflows"):
+        _checked_at_q(lambda p, q: q**2000.0, 0.5, 2.0, "test bound")
+    with pytest.raises(DomainError, match="overflows"):
+        _checked_at_q(lambda p, q: 1.0 / (q - q), 0.5, 2.0, "test bound")
+    # tan(theta/4)^2 underflows to 0.0 in the measure formula, and 1 / 0.0 raises
+    with pytest.raises(DomainError, match="overflows"):
+        measure_bound(1e-200, 3.0)
+
+
 @pytest.mark.parametrize(
     "fn,args",
     [
@@ -182,13 +194,12 @@ _OVERFLOW_EDGES = [
     # 40-digit mpmath minima: 3.43298777098082996e306 and 1.27147695221512196e308
     pytest.param(
         lambda: minimize_over_q(1e-102, "measure").value,
-        3.43298777098083e306,
+        3.432987770980831e306,
         id="minimize_over_q-finite",
     ),
-    # the parabola's curvature would overflow at this finite minimum
     pytest.param(
         lambda: minimize_over_q(3e-103, "measure").value,
-        1.2714769522151221e308,
+        1.2714769522151217e308,
         id="minimize_over_q-largest",
     ),
     pytest.param(
@@ -196,7 +207,7 @@ _OVERFLOW_EDGES = [
     ),
     pytest.param(
         lambda: table_rows([1e-102])[0].measure_min,
-        3.43298777098083e306,
+        3.432987770980831e306,
         id="table_rows-finite",
     ),
     pytest.param(lambda: table_rows([1e-105]), DomainError, id="table_rows-overflow"),
@@ -304,16 +315,20 @@ def test_minimize_reference_values():
 
 
 def test_minimize_result_invariants():
+    # the bracket is the last bisection bracket: two adjacent doubles, q_star one of them
     res = minimize_over_q(0.4, "measure")
-    assert res.bracket[0] < res.q_star < res.bracket[1]
-    assert measure_bound(0.4, res.q_star) == pytest.approx(res.value, abs=1e-12)
-    assert res.evaluations > 0
+    lo, hi = res.bracket
+    assert lo <= res.q_star <= hi and res.q_star in (lo, hi)
+    assert math.nextafter(lo, math.inf) == hi
+    assert measure_bound(0.4, res.q_star) == res.value
+    assert res.evaluations in (53, 54)
 
 
 def test_minimize_certificate_in_bracket():
+    # no q of the whole bracket [2.5, 6.5] gives a smaller bound
     res = minimize_over_q(0.6, "measure")
-    qs = RNG.uniform(res.bracket[0], res.bracket[1], 1000)
-    assert all(res.value <= measure_bound(0.6, q) + 1e-12 for q in qs)
+    qs = RNG.uniform(*_Q_BRACKET, 1000)
+    assert all(res.value <= measure_bound(0.6, q) * (1 + 1e-15) for q in qs)
 
 
 def test_minimize_perturbed_grid_invariance():
@@ -339,31 +354,6 @@ def test_minimize_perturbed_grid_invariance():
         assert abs(alt - ref) <= 1e-8 * ref
 
 
-#: kind -> (array formula, scalar wrapper); the limit bound is the measure formula at p = 1.
-_FORMULAS = {
-    "measure": (_measure_formula, measure_bound),
-    "angle": (_angle_formula, angle_bound),
-    "limit": (_measure_formula, lambda p, q: limit_bound(q)),
-}
-
-
-@pytest.mark.parametrize(
-    "kind,p",
-    [("measure", p) for p in (1e-3, 0.1, 0.4, 0.42, 0.7, 0.999)]
-    + [("angle", p) for p in (ANGLE_BOUND_MIN_P + 1e-3, 0.5, 0.8, 0.999)]
-    + [("limit", 1.0)],
-)
-def test_array_formula_matches_scalar_wrapper_on_grid(kind, p):
-    formula, scalar = _FORMULAS[kind]
-    grid = 1.0 + np.geomspace(1e-6, 1e8, 64 * 14 + 1)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", NumericalConditionWarning)
-        ref = np.array([scalar(p, float(q)) for q in grid])
-    values = formula(p, grid)
-    np.testing.assert_allclose(values, ref, rtol=1e-12, atol=0.0)
-    assert np.argmin(values) == np.argmin(ref)
-
-
 def _mp_measure_bound(p, q):
     m = (q + 1) / (q - 1) + (1 - p * p) ** 2 * (1 + q * q) / (
         2 * p * (q - 1) * (4 * p * mp.sqrt(q) + (1 + q) * (1 + p * p))
@@ -380,9 +370,8 @@ def test_measure_minimum_matches_mpmath(p):
         q_min = mp.findroot(lambda q: mp.diff(f, q), start)
         expect = f(q_min)
     res = minimize_over_q(p, "measure")
-    assert abs(res.value / expect - 1) <= 1e-13
-    # a loose check; test_q_star_matches_mpmath_argmin holds q_star to 1e-9
-    assert res.q_star == pytest.approx(float(q_min), rel=1e-6)
+    assert abs(res.value / expect - 1) <= 1e-15
+    assert abs(res.q_star / q_min - 1) <= 1e-14
 
 
 def _mp_angle_bound(p, q):
@@ -404,30 +393,83 @@ def test_q_star_matches_mpmath_argmin(kind, p):
         start = min((mp.mpf(k) / 16 for k in range(-224, 304)), key=g)
         q_min = 1 + mp.exp(mp.findroot(lambda t: mp.diff(g, t), start))
     res = minimize_over_q(p, kind)
-    assert abs(res.q_star / q_min - 1) <= 1e-9
+    assert abs(res.q_star / q_min - 1) <= 1e-14
+
+
+#: kind -> (public bound at (p, q), its 30-digit mpmath form); the limit is the measure at p = 1.
+_BOUNDS = {
+    "measure": (measure_bound, _mp_measure_bound),
+    "angle": (angle_bound, _mp_angle_bound),
+    "limit": (lambda p, q: limit_bound(q), lambda p, q: _mp_measure_bound(1, q)),
+}
+
+
+@pytest.mark.parametrize(
+    "kind,p",
+    [("measure", p) for p in (1e-3, 0.1, 0.4, 0.42, 0.7, 0.999)]
+    + [("angle", p) for p in (ANGLE_BOUND_MIN_P + 1e-3, 0.5, 0.8, 0.999)]
+    + [("limit", 1.0)],
+)
+def test_scalar_bounds_match_mpmath_on_grid(kind, p):
+    # 113 points of q - 1 in [1e-6, 1e8], log-spaced; the worst is 1.4e-15 (angle, p = 0.999)
+    scalar, exact = _BOUNDS[kind]
+    grid = 1.0 + np.geomspace(1e-6, 1e8, 113)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NumericalConditionWarning)
+        values = [scalar(p, float(q)) for q in grid]
+    with mp.workdps(30):
+        ref = [exact(mp.mpf(p), mp.mpf(float(q))) for q in grid]
+    for q, got, want in zip(grid, values, ref):
+        assert abs(got / want - 1) <= 2e-15, (q, got, want)
+    assert np.argmin(values) == min(range(len(ref)), key=ref.__getitem__)
 
 
 @pytest.mark.parametrize("kind,p", [("measure", 0.5), ("angle", 0.7), ("limit", 1.0)])
-def test_minimize_makes_three_array_calls_and_at_most_two_scalar_calls(monkeypatch, kind, p):
-    # three array calls and then two scalar calls of the same formula, and no public wrapper
+def test_minimize_bisects_the_slope_then_evaluates_once(monkeypatch, kind, p):
+    # each slope call halves the bracket until the midpoint is an end; then one
+    # value call at q_star, and no public wrapper
     import polebounds.bounds as bounds_mod
 
-    check, formula = bounds_mod._KINDS[kind]
-    sizes = []
+    check, value, slope = bounds_mod._KINDS[kind]
+    slope_qs, value_qs = [], []
 
-    def counted_formula(p, q):
-        sizes.append(np.size(q) if np.ndim(q) else "scalar")
-        return formula(p, q)
+    def counted_slope(p, q):
+        slope_qs.append(q)
+        return slope(p, q)
+
+    def counted_value(p, q):
+        value_qs.append(q)
+        return value(p, q)
 
     def forbidden(*args):
         raise AssertionError(f"public wrapper called with {args}")
 
-    monkeypatch.setitem(bounds_mod._KINDS, kind, (check, counted_formula))
+    monkeypatch.setitem(bounds_mod._KINDS, kind, (check, counted_value, counted_slope))
     for name in ("angle_bound", "measure_bound", "limit_bound", "_checked_bound"):
         monkeypatch.setattr(bounds_mod, name, forbidden)
     res = minimize_over_q(p, kind)
-    assert sizes == [65, 65, 65, "scalar", "scalar"]
-    assert res.evaluations == 196
+    assert slope_qs[0] == 4.5 and all(2.5 < q < 6.5 for q in slope_qs)
+    assert len(set(slope_qs)) == len(slope_qs) == res.evaluations - 1 in (52, 53)
+    assert value_qs == [res.q_star]
+
+
+@pytest.mark.parametrize(
+    "kind,p",
+    [("measure", p) for p in (1e-100, 1e-10, 1e-3, 0.3, 0.5, 0.9, 0.999)]
+    + [("angle", p) for p in (ANGLE_BOUND_MIN_P + 1e-3, 0.5, 0.7, 0.999)]
+    + [("limit", 1.0)],
+)
+def test_float_slope_is_the_derivative_of_log_bound(kind, p):
+    # the slope that minimize_over_q bisects, against mpmath's derivative of
+    # log B in t = log(q - 1) at 30 digits, over the bracket and beyond it
+    # (the worst is 5.3e-16)
+    bound = {"angle": _mp_angle_bound}.get(kind, _mp_measure_bound)
+    check, _, slope = _KINDS[kind]
+    p = check(p)
+    for q in (1.001, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0, 5.5, 6.0, 6.5, 10.0, 1e6):
+        with mp.workdps(30):
+            exact = mp.diff(lambda t: mp.log(bound(mp.mpf(p), 1 + mp.exp(t))), mp.log(q - 1))
+        assert abs(slope(p, q) - exact) <= 2e-15 * (1 + abs(exact)), (q, slope(p, q), exact)
 
 
 def _iv_measure_bound(p, q):
@@ -541,47 +583,104 @@ def test_round_half_up_keeps_large_values():
 
 # ------------------------------------------------- where the minima lie (certificate)
 #
-# With t = log(q - 1), e = q - 1 and S = d log B / dt, each bound has
+# Each upper bound is B = c log(q) cot^2(theta/4), theta = atan(s), where s is a
+# function of x = (q - 1)/(q + 1) and of the pole. With t = log(q - 1) and
+# S = d log B / dt,
 #
-#     S = A(e) + tail,    A(e) = e / (q log q),
+#     S = A + tail,    A = (q - 1)/(q log q) = 2x / ((1 + x) log((1 + x)/(1 - x))),
+#     tail = -(1 - x) g sqrt(2r(r + 1)) / (1 + s^2),  g = x s'(x) / s,  r = sqrt(1 + s^2).
 #
-# where the tail depends on the pole. Both tails are written so that they are
-# smooth on closed pole ranges: the measure tail in p on [0, 1] (p = 1 is the
-# limit kind), the angle tail in k = (1 - p^2) / (2p) on [0, 1], which is
-# p on [sqrt(2) - 1, 1]. A is decreasing (its derivative has the sign of
-# log q - (q - 1) < 0), so on [e0, e1] it lies between A(e1) and A(e0).
+# The angle bound has s = (1 - k) x / (1 + k x^2), k = (1 - p^2)/(2p). The measure
+# bound has s = 1 / cot bound, which in a = 2p/(1 + p^2) and y = sqrt(1 - x^2) is
+#
+#     s = 2ax(1 + ay) / (1 + 2a - a^2 + (1 - a^2) x^2 + 2a^2 y).
+#
+# bounds.py evaluates S with these expressions in floats. Both tails are smooth
+# on closed pole ranges: the measure tail in a on [0, 1] (a = 1 is p = 1, the
+# limit kind), the angle tail in k on [0, 1], which is p on [sqrt(2) - 1, 1].
+# A is decreasing (its derivative has the sign of log q - (q - 1) < 0), so on
+# [x0, x1] it lies between A(x1) and A(x0). Each function below takes mpmath.iv
+# intervals, or _Dual numbers over them.
 
 
-def _iv_first_term(e):
-    e = mp.iv.mpf(e)
-    q = 1 + e
-    return e / (q * mp.iv.log(q))
+class _Dual:
+    """``v + d dx`` over ``mpmath.iv`` intervals: a value and its derivative in ``x``."""
+
+    def __init__(self, v, d=0):
+        self.v, self.d = v, d
+
+    def __add__(self, o):
+        o = _as_dual(o)
+        return _Dual(self.v + o.v, self.d + o.d)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _Dual(-self.v, -self.d)
+
+    def __sub__(self, o):
+        return self + -_as_dual(o)
+
+    def __rsub__(self, o):
+        return _as_dual(o) + -self
+
+    def __mul__(self, o):
+        o = _as_dual(o)
+        return _Dual(self.v * o.v, self.d * o.v + self.v * o.d)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, o):
+        o = _as_dual(o)
+        return _Dual(self.v / o.v, (self.d * o.v - self.v * o.d) / (o.v * o.v))
+
+    def __rtruediv__(self, o):
+        return _as_dual(o) / self
 
 
-def _iv_measure_tail(p, e):
-    # With c = p * e * cot bound (finite at e = 0 and at p = 0) and R = sqrt(p^2 e^2 + c^2),
-    # the tail is (e c' - c) sqrt(2R(R + c)) / R^2, and e c' - c = (1-p^2)^2 N / (2D^2) - 2p.
-    iv = mp.iv
-    q = 1 + e
-    sq, pp = iv.sqrt(q), p * p
-    d = 4 * p * sq + (1 + q) * (1 + pp)
-    w = (1 - pp) ** 2
-    c = p * (q + 1) + w * (1 + q * q) / (2 * d)
-    n = 2 * p * (q + 1) * (q * q - 4 * q + 1) / sq - 4 * (1 + pp) * q
-    r2 = pp * e * e + c * c
-    r = iv.sqrt(r2)
-    return (w * n / (2 * d * d) - 2 * p) * iv.sqrt(2 * r * (r + c)) / r2
+def _as_dual(x):
+    return x if isinstance(x, _Dual) else _Dual(mp.iv.mpf(x))
 
 
-def _iv_angle_tail(k, e):
-    # theta = atan(s) with s = (1-k) x / (1 + k x^2) and x = e / (2 + e);
-    # theta' / sin(theta/2) has 1 - k divided out, so k = 1 is smooth.
-    iv = mp.iv
-    x = e / (2 + e)
+def _sqrt(x):
+    if isinstance(x, _Dual):
+        r = mp.iv.sqrt(x.v)
+        return _Dual(r, x.d / (2 * r))
+    return mp.iv.sqrt(x)
+
+
+def _log(x):
+    if isinstance(x, _Dual):
+        return _Dual(mp.iv.log(x.v), x.d / x.v)
+    return mp.iv.log(x)
+
+
+def _iv_first_term(x):
+    return 2 * x / ((1 + x) * _log((1 + x) / (1 - x)))
+
+
+def _iv_tail(x, s, g):
+    r = _sqrt(1 + s * s)
+    return -(1 - x) * g * _sqrt(2 * r * (r + 1)) / (1 + s * s)
+
+
+def _iv_measure_tail(a, x):
+    aa, x2 = a * a, x * x
+    y = _sqrt(1 - x2)
+    den = 1 + 2 * a - aa + (1 - aa) * x2 + 2 * aa * y
+    s = 2 * a * x * (1 + a * y) / den
+    g = 1 - a * x2 / (y * (1 + a * y)) - 2 * x2 * (1 - aa - aa / y) / den
+    return _iv_tail(x, s, g)
+
+
+def _iv_angle_tail(k, x):
     kx2 = k * x * x
-    s2 = ((1 - k) * x / (1 + kx2)) ** 2
-    r = iv.sqrt(1 + s2)
-    return -2 * (1 - kx2) / ((2 + e) * (1 + kx2)) * iv.sqrt(2 * r * (r + 1)) / (1 + s2)
+    return _iv_tail(x, (1 - k) * x / (1 + kx2), (1 - kx2) / (1 + kx2))
+
+
+def _x_of(e):
+    """``x = 1 - 2/(2 + e)`` at ``e = q - 1``, as a narrow interval."""
+    return 1 - 2 / (2 + mp.iv.mpf(e))
 
 
 def _sign_certified(tail, sign, poles, e_range, max_boxes):
@@ -598,12 +697,36 @@ def _sign_certified(tail, sign, poles, e_range, max_boxes):
             return None
         done += 1
         p0, p1, e0, e1 = boxes.pop()
-        s = _iv_first_term(e1 if sign > 0 else e0) + tail(mp.iv.mpf([p0, p1]), mp.iv.mpf([e0, e1]))
+        x0, x1 = _x_of(e0), _x_of(e1)
+        x = mp.iv.mpf([x0.a, x1.b])
+        s = _iv_first_term(x1 if sign > 0 else x0) + tail(mp.iv.mpf([p0, p1]), x)
         if (s.a > 0) if sign > 0 else (s.b < 0):
             continue
         em = mp.sqrt(e0 * e1)
         halves = [(p0, p1)] if p0 == p1 else [(p0, (p0 + p1) / 2), ((p0 + p1) / 2, p1)]
         boxes += [(*h, *es) for h in halves for es in ((e0, em), (em, e1))]
+    return done
+
+
+def _slope_monotone(tail, sign, poles, x_range, max_boxes):
+    """Boxes it took to prove ``sign * dS/dx > 0`` on ``poles x x_range``; None past ``max_boxes``.
+
+    ``dS/dx`` is the derivative part of ``S`` evaluated on ``_Dual`` numbers.
+    A box that fails is split at the middle of both its ranges.
+    """
+    boxes = [(*poles, *x_range)]
+    done = 0
+    while boxes:
+        if done == max_boxes:
+            return None
+        done += 1
+        p0, p1, x0, x1 = boxes.pop()
+        x = _Dual(mp.iv.mpf([x0, x1]), 1)
+        slope = (_iv_first_term(x) + tail(_Dual(mp.iv.mpf([p0, p1])), x)).d
+        if (slope.a > 0) if sign > 0 else (slope.b < 0):
+            continue
+        pm, xm = (p0 + p1) / 2, (x0 + x1) / 2
+        boxes += [(*ps, *xs) for ps in ((p0, pm), (pm, p1)) for xs in ((x0, xm), (xm, x1))]
     return done
 
 
@@ -614,19 +737,33 @@ _TAILS = {"measure": _iv_measure_tail, "angle": _iv_angle_tail}
 _FALLS = (mp.mpf(mp.iv.mpf("1e-6").a), mp.mpf(1.5))
 _RISES = (mp.mpf(5.5), mp.mpf(10) ** 8)
 
+#: x = (q - 1)/(q + 1) on the bracket q in [2.5, 6.5]: [3/7, 11/15], rounded outward.
+_BRACKET_X = ((mp.iv.mpf(3) / 7).a, (mp.iv.mpf(11) / 15).b)
+
 
 @pytest.mark.parametrize("kind", ["measure", "angle"])
 @pytest.mark.parametrize("sign,e_range", [(-1, _FALLS), (1, _RISES)], ids=["falls", "rises"])
 def test_every_bound_falls_below_and_rises_above_the_bracket(kind, sign, e_range):
-    # a proof over every pole: p in [0, 1] for the measure and limit kinds,
-    # k in [0, 1] (p in [sqrt(2) - 1, 1]) for the angle kind
+    # a proof over every pole: a in [0, 1] (p in [0, 1]) for the measure and
+    # limit kinds, k in [0, 1] (p in [sqrt(2) - 1, 1]) for the angle kind
     poles = (mp.mpf(0), mp.mpf(1))
     assert _sign_certified(_TAILS[kind], sign, poles, e_range, max_boxes=20_000) is not None
 
 
+@pytest.mark.parametrize("kind", ["measure", "angle"])
+def test_slope_increases_across_the_bracket(kind):
+    # dS/dx > 0, and dx/dq = 2/(q + 1)^2 > 0, so S rises through [2.5, 6.5] and
+    # its one sign change there, the root minimize_over_q bisects for, is the
+    # minimum over all q > 1; a proof over every pole, as above
+    poles = (mp.mpf(0), mp.mpf(1))
+    assert _slope_monotone(_TAILS[kind], 1, poles, _BRACKET_X, max_boxes=2_000) is not None
+    # the same enclosures do not prove the opposite sign
+    assert _slope_monotone(_TAILS[kind], -1, poles, _BRACKET_X, max_boxes=50) is None
+
+
 @pytest.mark.parametrize(
     "kind,pole,q_range",
-    [("measure", 0.5, (4, 5)), ("angle", 0.75, (3, 4))],  # k = 0.75 is p = 0.5
+    [("measure", 0.8, (4, 5)), ("angle", 0.75, (3, 4))],  # a = 0.8 and k = 0.75 are p = 0.5
 )
 def test_certificate_fails_on_a_box_around_the_minimum(kind, pole, q_range):
     # at p = 0.5 the minima lie at q* = 4.74 (measure) and 3.38 (angle), where S
@@ -647,7 +784,7 @@ def test_certified_slope_is_the_derivative_of_log_bound(kind, p, q):
     with mp.workdps(30):
         p, q = mp.mpf(p), mp.mpf(q)
         exact = mp.diff(lambda t: mp.log(bound(p, 1 + mp.exp(t))), mp.log(q - 1))
-    pole = p if kind == "measure" else (1 - p * p) / (2 * p)
-    e = mp.iv.mpf(q - 1)
-    s = _iv_first_term(e) + _TAILS[kind](mp.iv.mpf(pole), e)
+    pole = 2 * p / (1 + p * p) if kind == "measure" else (1 - p * p) / (2 * p)
+    x = _x_of(q - 1)
+    s = _iv_first_term(x) + _TAILS[kind](mp.iv.mpf(pole), x)
     assert abs(s.mid - exact) <= 1e-12 * (1 + abs(exact))

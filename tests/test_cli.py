@@ -101,8 +101,8 @@ def test_bounds_limit_row_is_pinned(p):
     code, text = run(["bounds", "--p", p, "--kind", "limit"])
     assert code == 0
     assert text == (
-        "p=1.0  kind=limit  value=73.25021041897514  q_star=5.554649468956085  "
-        "evaluations=196  bracket_lo=5.489472115754262  bracket_hi=5.675507529098265\n"
+        "p=1.0  kind=limit  value=73.25021041897516  q_star=5.554649468801376  "
+        "evaluations=53  bracket_lo=5.554649468801375  bracket_hi=5.554649468801376\n"
     )
 
 
@@ -267,9 +267,11 @@ INSTANCES = Path(__file__).resolve().parents[1] / "scripts" / "instances"
 
 #: ``verify`` and ``arc`` JSON at full precision, on the desk instances. A
 #: change that moves a length in its last digits restates these on purpose.
+#: 40-digit mpmath minima: 4608.7590452290840932 (p = 0.1) and
+#: 775.27497316454439677 (the arc constant at tau = 0.20000000000000004).
 PINNED_JSON = {
     ("verify", "mobius", "0.1"): (
-        '[{"bound": 4608.759045229082, "family": "mobius", '
+        '[{"bound": 4608.759045229085, "family": "mobius", '
         '"length_i1": 29.42255348607469, "length_tminus": 2.770624286490045, "p": 0.1, '
         '"passed": true, "ratio": 10.619467110550936}]\n'
     ),
@@ -284,7 +286,7 @@ PINNED_JSON = {
         '"passed": true, "ratio": 1.6821685737005432}]\n'
     ),
     ("verify", "koebe", "0.1"): (
-        '[{"bound": 4608.759045229082, "family": "koebe", '
+        '[{"bound": 4608.759045229085, "family": "koebe", '
         '"length_i1": 0.31104877758314786, "length_tminus": 0.03273054578185092, '
         '"p": 0.1, "passed": true, "ratio": 9.503317777109123}]\n'
     ),
@@ -299,7 +301,7 @@ PINNED_JSON = {
         '"passed": true, "ratio": 3.1503192998497647}]\n'
     ),
     ("arc", "mobius", "inside_branch"): (
-        '[{"branch": "inside_hull", "constant": 775.2749731645443, "family": "mobius", '
+        '[{"branch": "inside_hull", "constant": 775.2749731645442, "family": "mobius", '
         '"length_arc": 4.211401675981149, "length_geodesic": 11.902899496825315, '
         '"passed": true, "pole_im": 0.0, "pole_re": 0.2, "ratio": 2.8263510376393257, '
         '"tau": 0.20000000000000004}]\n'
@@ -311,7 +313,7 @@ PINNED_JSON = {
         '"tau": 0.7}]\n'
     ),
     ("arc", "koebe", "inside_branch"): (
-        '[{"branch": "inside_hull", "constant": 775.2749731645443, "family": "koebe", '
+        '[{"branch": "inside_hull", "constant": 775.2749731645442, "family": "koebe", '
         '"length_arc": 0.15741995587324714, "length_geodesic": 0.4961379239129591, '
         '"passed": true, "pole_im": 0.0, "pole_re": 0.2, "ratio": 3.1516837948579024, '
         '"tau": 0.20000000000000004}]\n'
@@ -442,6 +444,25 @@ def test_identical_invocations_are_byte_identical():
     _, first = run(argv)
     _, second = run(argv)
     assert first == second
+
+
+@pytest.mark.parametrize(
+    "argv, expect",
+    [
+        (["--z", "0,2", "--p", "0.5", "--wos", "5000", "--seed", "123", "--format", "json"],
+         '[{"a": 1.0, "b": 4.0, "p": 0.5, "sandwich_hi": 0.5, "sandwich_lo": 0.1490197886876318, '
+         '"value": 0.18716704181099886, "wos_capped": 0, "wos_mean": 0.1728, '
+         '"wos_stderr": 0.005346777721207419, "wos_used": 5000, "z_im": 2.0, "z_re": 0.0}]\n'),
+        (["--z", "0.5,1.5", "--p", "0.3", "--wos", "3000"],
+         "z_re=0.5  z_im=1.5  a=1.0  b=4.0  p=0.3  value=0.22970987344274257  "
+         "wos_mean=0.23066666666666666  wos_stderr=0.00769111079007351  wos_used=3000  "
+         "wos_capped=0\n"),
+    ],
+    ids=["json-on-axis", "text-off-axis"],
+)
+def test_harmonic_wos_output_is_pinned(argv, expect):
+    # the walk imports numpy when it runs; its draws and output stay the same
+    assert run(["harmonic", "--a", "1", "--b", "4", *argv]) == (0, expect)
 
 
 def test_format_env_var_default(monkeypatch):

@@ -238,6 +238,24 @@ def test_a_malformed_curve_raises_domain_error(call):
         call()
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: polyline_image_length(mobius_family(0.5), [None, 0.1j]),
+        lambda: polyline_image_length(mobius_family(0.5), "ab"),
+        lambda: segment_curve("x", 0.1j),
+        lambda: polyline_image_length(mobius_family(0.5), [0.1j, math.nan, 0.3]),
+        lambda: segment_curve(0.1j, complex(0.2, math.inf)),
+        lambda: segment_curve([0.1, 0.2], [0.3, 0.4]),
+    ],
+    ids=["none", "string", "bad-string", "nan", "inf", "nested"],
+)
+def test_a_bad_vertex_raises_domain_error(call):
+    # None passed "within nan" of the pole, the strings raised ValueError
+    with pytest.raises(DomainError, match="vertices must be finite complex numbers"):
+        call()
+
+
 def test_polyline_labels_name_the_curves():
     polylines = ((-0.5j, 0.5j), (-0.5j, 0.3 - 0.1j, 0.5j))
     with pytest.raises(PoleProximityError, match="^curve 'second' "):
