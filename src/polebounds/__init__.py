@@ -50,6 +50,7 @@ _EXPORTS = {
     ),
     "conformal": (
         "alpha_from_p",
+        "arccot",
         "cayley",
         "omega_to_disk",
         "omega1_to_halfplane",
@@ -70,7 +71,6 @@ _EXPORTS = {
         "DEFAULT_SEED",
         "DistanceMeasureCheck",
         "WosEstimate",
-        "arccot",
         "check_distance_measure_bound",
         "hm_halfplane",
         "hm_omega1",

@@ -30,9 +30,8 @@ import warnings
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Context, Decimal
 
-from .conformal import _check_positive, _check_unit_interval
+from .conformal import _check_positive, _check_unit_interval, _checked_at_q, _measure_cot, arccot
 from .errors import DomainError, NumericalConditionWarning
-from .harmonic import _checked_at_q, _measure_cot, arccot
 
 #: Validity threshold for :func:`angle_bound`: the largest double below sqrt(2) - 1.
 ANGLE_BOUND_MIN_P = 0.41421356237309504

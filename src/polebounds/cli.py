@@ -12,20 +12,20 @@ Output is ``text``, ``json`` or ``csv`` (flag ``--format``, default from the
 ``POLEBOUNDS_FORMAT`` environment variable). Exit codes: 0 success, 1 a
 verification failed, 2 usage or domain error.
 
-Each subcommand imports the modules it runs when it runs, so ``bounds``,
-``table`` and ``harmonic`` never load the quadrature (``lengths``) or the arc
-predicates (``arcs``), nor numpy, which only ``verify``, ``arc`` and
-``harmonic --wos`` load. The defaults of ``--tol``, ``--a1-value``, ``--eps`` and
-``--seed`` are constants of those modules, so the subcommand fills them in,
-not the parser.
+Each subcommand imports the modules it runs when it runs. ``bounds`` and
+``table`` load ``bounds`` (with ``conformal`` and ``errors``); ``verify``
+loads ``lengths`` on top of those, and ``arc`` ``arcs`` and ``hyperbolic``
+as well; ``harmonic`` loads ``harmonic`` and ``hyperbolic`` but not
+``bounds``. Numpy comes with ``verify``, ``arc`` and ``harmonic --wos``
+alone, and ``emit`` imports ``json`` or ``csv`` for its format alone. The
+defaults of ``--tol``, ``--a1-value``, ``--eps`` and ``--seed`` are
+constants of those modules, so the subcommand fills them in, not the parser.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
 import math
 import os
 import sys
@@ -74,9 +74,13 @@ def parse_grid(text: str) -> list[float]:
 def emit(records: list[dict], fmt: str, out) -> None:
     """Write a list of flat records in the requested format."""
     if fmt == "json":
+        import json
+
         out.write(json.dumps(records, sort_keys=True))
         out.write("\n")
     elif fmt == "csv":
+        import csv
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         keys = list(records[0].keys())

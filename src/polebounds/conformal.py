@@ -14,6 +14,10 @@ Geometry vocabulary used throughout:
 
 Every map is applied only where it is finite, so each is one formula on a
 ``complex`` (or elementwise on a numpy array of them), undefined at its pole.
+
+The module also holds what ``bounds`` and ``harmonic`` share, so that neither
+imports the other: the input checks, ``arccot``, the unchecked cotangent
+formula ``_measure_cot`` and its checked evaluation ``_checked_at_q``.
 """
 
 from __future__ import annotations
@@ -120,3 +124,32 @@ def vertical_translation(z: complex, a: float) -> complex:
     if not -1.0 < a < 1.0:
         raise DomainError(f"a must lie in (-1, 1), got {a!r}")
     return (z + 1j * a) / (1 - 1j * a * z)
+
+
+def arccot(x: float) -> float:
+    """Arc-cotangent with values in (0, pi): ``atan2(1, x)``."""
+    return math.atan2(1.0, x)
+
+
+def _measure_cot(p, q):
+    """The formula of :func:`polebounds.harmonic.measure_cot_bound`, unchecked."""
+    first = (q + 1.0) / (q - 1.0)
+    second = (1.0 - p * p) ** 2 * (1.0 + q * q) / (
+        2.0 * p * (q - 1.0) * (4.0 * p * math.sqrt(q) + (1.0 + q) * (1.0 + p * p))
+    )
+    return first + second
+
+
+def _checked_at_q(formula, p: float, q: float, what: str) -> float:
+    """``formula(p, q)`` at ``q > 1``: a positive finite float, else DomainError.
+
+    A formula that divides by zero or overflows a ``**`` has overflowed the
+    double, so that is a DomainError too.
+    """
+    if not q > 1.0:
+        raise DomainError(f"q must exceed 1, got {q!r}")
+    try:
+        value = formula(p, float(q))
+    except (ZeroDivisionError, OverflowError):
+        value = math.inf
+    return _check_positive(value, "the {1} overflows at p={2!r}, q={3!r}", what, p, q)

@@ -14,8 +14,10 @@ it sandwiches the Omega1 measure:
 
     arccot(measure_cot_bound(p, b/a)) / pi  <=  omega(z, [a, b], Omega1)  <=  1/2
 
-for ``z`` on ``[ia, ib]``. The arccot convention everywhere is
-``arccot x = atan2(1, x)``, with values in (0, pi).
+for ``z`` on ``[ia, ib]``. ``arccot`` (``atan2(1, x)``, with values in
+(0, pi)) and the unchecked cotangent formula come from
+:mod:`polebounds.conformal`, which ``bounds`` shares, so that ``bounds``
+never loads this module.
 """
 
 from __future__ import annotations
@@ -23,7 +25,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .conformal import _check_positive, _check_unit_interval, as_complex
+from .conformal import (
+    _check_positive,
+    _check_unit_interval,
+    _checked_at_q,
+    _measure_cot,
+    arccot,
+    as_complex,
+)
 from .errors import DomainError, WalkCapError
 from .hyperbolic import ExcludedDisk, _omega1_gap, in_omega1
 
@@ -38,11 +47,6 @@ WOS_STEP_CAP = 10**6
 
 #: Most walks one estimate may take: ten times the largest run in the README.
 WOS_MAX_WALKS = 10**7
-
-
-def arccot(x: float) -> float:
-    """Arc-cotangent with values in (0, pi): ``atan2(1, x)``."""
-    return math.atan2(1.0, x)
 
 
 def _check_measure(w: float) -> float:
@@ -117,30 +121,6 @@ def hm_omega1(z: complex, a: float, b: float, p: float) -> float:
     # (psi(b) - psi(a)) / w, with its small factor last so that nothing underflows early
     delta = (ra + rb) / w * ((b - a) / (b + inv)) * (k / (a + inv))
     return _check_measure(sign * math.atan2(delta.imag, 1.0 + delta.real) / math.pi)
-
-
-def _measure_cot(p, q):
-    """The formula of :func:`measure_cot_bound`, unchecked."""
-    first = (q + 1.0) / (q - 1.0)
-    second = (1.0 - p * p) ** 2 * (1.0 + q * q) / (
-        2.0 * p * (q - 1.0) * (4.0 * p * math.sqrt(q) + (1.0 + q) * (1.0 + p * p))
-    )
-    return first + second
-
-
-def _checked_at_q(formula, p: float, q: float, what: str) -> float:
-    """``formula(p, q)`` at ``q > 1``: a positive finite float, else DomainError.
-
-    A formula that divides by zero or overflows a ``**`` has overflowed the
-    double, so that is a DomainError too.
-    """
-    if not q > 1.0:
-        raise DomainError(f"q must exceed 1, got {q!r}")
-    try:
-        value = formula(p, float(q))
-    except (ZeroDivisionError, OverflowError):
-        value = math.inf
-    return _check_positive(value, "the {1} overflows at p={2!r}, q={3!r}", what, p, q)
 
 
 def measure_cot_bound(p: float, q: float) -> float:

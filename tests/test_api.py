@@ -1,6 +1,6 @@
 """The public API of the package, pinned by name, and what importing it loads."""
 
-import json
+import ast
 import os
 import subprocess
 import sys
@@ -47,13 +47,15 @@ def test_star_import_binds_every_public_name():
     assert sorted(n for n in namespace if n != "__builtins__") == PUBLIC_NAMES
 
 
-#: Run in a fresh interpreter: what ``import polebounds`` and each subcommand
-#: (the argv lists in ``sys.argv[1]``, run in order) load.
+#: Run in a fresh interpreter: what ``import polebounds``, ``polebounds.arccot``
+#: and each subcommand (the argv lists in ``sys.argv[1]``, run in order) load.
+#: It reads and prints Python literals, so that it loads no ``json`` itself.
 _LOADED_PROBE = """
-import io, json, sys
+import ast, io, sys
 
 def loaded():
-    return sorted(m for m in sys.modules if m == "numpy" or m.startswith("polebounds."))
+    return sorted(m for m in sys.modules
+                  if m in ("numpy", "csv", "json") or m.startswith("polebounds."))
 
 import polebounds
 facts = {"import": loaded()}
@@ -62,37 +64,63 @@ try:
     facts["unknown"] = "resolved"
 except AttributeError:
     facts["unknown"] = "AttributeError"
+polebounds.arccot
+facts["arccot"] = loaded()
 from polebounds import cli
-facts["runs"] = [[cli.main(argv, out=io.StringIO()), loaded()] for argv in json.loads(sys.argv[1])]
-print(json.dumps(facts))
+facts["runs"] = [[cli.main(argv, out=io.StringIO()), loaded()] for argv in ast.literal_eval(sys.argv[1])]
+print(repr(facts))
 """
 
 _HARMONIC = ["harmonic", "--z", "0,2", "--a", "1", "--b", "4", "--p", "0.5"]
 
-#: Subcommands that load no numpy, then the one that loads it last.
-_NUMPY_FREE = [
+#: Subcommands that load neither the harmonic-measure modules nor numpy, in text format.
+_BOUNDS_ONLY = [
     ["table", "--p", "0.5"],
     ["table"],
     *(["bounds", "--p", "0.5", "--kind", kind] for kind in ("lb", "angle", "closed", "measure")),
     ["bounds", "--p", "1", "--kind", "limit"],
-    _HARMONIC,
 ]
+
+_HARMONIC_MODULES = {"polebounds.harmonic", "polebounds.hyperbolic"}
+
+
+def _probe(argvs):
+    """The facts of ``_LOADED_PROBE`` run on ``argvs`` in a fresh interpreter."""
+    src = str(Path(polebounds.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "POLEBOUNDS_FORMAT"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", _LOADED_PROBE, repr(argvs)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    facts = ast.literal_eval(proc.stdout)
+    assert facts["import"] == []
+    assert facts["unknown"] == "AttributeError"
+    assert facts["arccot"] == ["polebounds.conformal", "polebounds.errors"]
+    for argv, (code, _) in zip(argvs, facts["runs"]):
+        assert code == 0, argv
+    return [after for _, after in facts["runs"]]
 
 
 def test_import_loads_no_submodule_and_table_no_quadrature():
-    src = str(Path(polebounds.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    argvs = [*_NUMPY_FREE, [*_HARMONIC, "--wos", "10"]]
-    proc = subprocess.run([sys.executable, "-c", _LOADED_PROBE, json.dumps(argvs)], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    facts = json.loads(proc.stdout)
-    assert facts["import"] == []
-    assert facts["unknown"] == "AttributeError"
-    *numpy_free, (wos_code, after_wos) = facts["runs"]
-    for argv, (code, after) in zip(_NUMPY_FREE, numpy_free):
-        assert code == 0, argv
-        assert not {"numpy", "polebounds.lengths", "polebounds.arcs"} & set(after), argv
-    assert "polebounds.bounds" in numpy_free[0][1]
-    assert wos_code == 0 and "numpy" in after_wos
+    json_table = ["table", "--p", "0.5", "--format", "json"]
+    *bounds_only, after_harmonic, after_json, after_wos = _probe(
+        [*_BOUNDS_ONLY, _HARMONIC, json_table, [*_HARMONIC, "--wos", "10"]])
+    for argv, after in zip(_BOUNDS_ONLY, bounds_only):
+        assert "polebounds.bounds" in after, argv
+        assert not {"numpy", "polebounds.lengths", "polebounds.arcs", "csv", "json",
+                    *_HARMONIC_MODULES} & set(after), argv
+    assert _HARMONIC_MODULES <= set(after_harmonic)
+    assert not {"numpy", "csv", "json"} & set(after_harmonic)
+    assert "json" in after_json and "csv" not in after_json
+    assert "numpy" in after_wos
+
+
+def test_verify_and_arc_load_no_harmonic_measure(tmp_path):
+    # each in its own interpreter, so that no earlier subcommand masks what it loads
+    (after_verify,) = _probe([["verify", "--family", "mobius", "--p", "0.5"]])
+    assert not {"polebounds.arcs", "csv", "json", *_HARMONIC_MODULES} & set(after_verify)
+    path = tmp_path / "inside.txt"
+    path.write_text("pole 0.2 0.0\n0.0 -0.5\n-0.45 -0.25\n-0.45 0.25\n0.0 0.5\n")
+    (after_arc,) = _probe([["arc", "--file", str(path), "--family", "mobius"]])
+    assert "polebounds.arcs" in after_arc
+    assert not {"polebounds.harmonic", "csv", "json"} & set(after_arc)

@@ -23,7 +23,7 @@ from polebounds import (
     table_rows,
 )
 from polebounds.bounds import _KINDS, _Q_BRACKET, round_half_up
-from polebounds.harmonic import _checked_at_q
+from polebounds.conformal import _checked_at_q
 
 RNG = np.random.default_rng(123)
 
