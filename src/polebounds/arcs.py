@@ -89,50 +89,54 @@ def _segments_meet(a, b, c, d) -> np.ndarray:
     meet = ((d1 > 0) != (d2 > 0)) & ((d3 > 0) != (d4 > 0))
     for o, p, q, r in ((d1, c, d, a), (d2, c, d, b), (d3, a, b, c), (d4, a, b, d)):
         on_line = o == 0.0
-        if on_line.any():
+        if np.count_nonzero(on_line):  # on short arrays, cheaper than .any()
             meet |= on_line & _within(p, q, r)
     return meet
 
 
 def _has_crossing(verts: tuple[complex, ...]) -> bool:
-    """Whether two non-adjacent segments ``i`` and ``j >= i + 2`` meet.
+    """Whether two segments meet anywhere but at the vertex that adjacent ones share.
 
-    When the first vertex equals the last, the first and last segments may
-    share it. The pairs are tested as arrays, in blocks of rows that keep
-    memory bounded on long polylines.
+    Adjacent segments meet elsewhere only when they fold back: an exact-zero
+    orientation and a reversed direction, tested only where such a zero
+    occurs. Non-adjacent segments ``i`` and ``j >= i + 2`` must not meet at
+    all. The pairs are tested as arrays, the non-adjacent ones in blocks of
+    rows that keep memory bounded on long polylines.
     """
     z = np.array(verts, dtype=complex)
+    a, b, c = z[:-2], z[1:-1], z[2:]
+    u, v = b - a, c - a
+    on_line = u.real * v.imag == u.imag * v.real  # _orient(a, b, c) == 0, in fewer array calls
+    if np.count_nonzero(on_line):
+        w = c - b
+        if np.count_nonzero(on_line & (u.real * w.real + u.imag * w.imag < 0.0)):
+            return True
     n = len(z) - 1
     j = np.arange(n)
     rows = max(1, _PAIR_BLOCK // n)
     for lo in range(0, n, rows):
-        pair = j >= np.arange(lo, min(lo + rows, n))[:, None] + 2
-        if lo == 0 and verts[0] == verts[-1]:
-            pair[0, n - 1] = False
-        i, k = np.nonzero(pair)
+        i, k = np.nonzero(j >= np.arange(lo, min(lo + rows, n))[:, None] + 2)
         i += lo
-        if _segments_meet(z[i], z[i + 1], z[k], z[k + 1]).any():
+        if np.count_nonzero(_segments_meet(z[i], z[i + 1], z[k], z[k + 1])):
             return True
     return False
 
 
 @dataclass(frozen=True)
 class PolylineArc:
-    """A simple polyline inside the open unit disk.
+    """A simple polyline inside the open unit disk: a Jordan arc.
 
-    Construction rejects a vertex on or outside the unit circle, a repeated
-    consecutive vertex, and any two non-adjacent segments that meet, touching
-    included (only a closed loop's first and last segments may share their
-    common vertex). The segment pairs are tested together, as numpy arrays.
+    The vertices pass the polylines' one check (at least two, strictly inside
+    the unit disk, none equal to the next). Two segments may meet only where
+    adjacent ones share a vertex, so touching, crossing, folding back and a
+    closed loop are rejected. The segment pairs are tested as numpy arrays.
     """
 
     vertices: tuple[complex, ...]
 
     def __post_init__(self) -> None:
-        verts = tuple(complex(v) for v in self.vertices)
-        object.__setattr__(self, "vertices", verts)
-        _check_polyline(verts, inside_disk=True)
-        if _has_crossing(verts):
+        object.__setattr__(self, "vertices", _check_polyline(self.vertices, inside_disk=True))
+        if _has_crossing(self.vertices):
             raise DomainError("polyline is not simple: segments cross")
 
     @property
@@ -195,8 +199,6 @@ def winding_number(point: complex, loop: tuple[complex, ...]) -> int:
     n = len(loop)
     for k in range(n):
         a, b = loop[k], loop[(k + 1) % n]
-        if a == b:
-            continue
         if a.imag <= point.imag:
             if b.imag > point.imag and _orient(a, b, point) > 0.0:
                 w += 1
@@ -220,10 +222,10 @@ def arc_constant(
     """Select the constant bounding ``len(f(gamma)) / len(f(J))`` for a pole at ``s``.
 
     Requires the standing hypothesis that ``s`` lies outside the filled
-    region bounded by the enclosed axis segment and the arc (including both
-    curves); raises :class:`HypothesisViolationError` otherwise. The branch
-    is inside when the arc closed by its axis chord winds around the
-    reflected pole ``-conj(s)``, which is where ``J + J^`` winds around ``s``.
+    region bounded by the enclosed axis segment and the arc (both curves and
+    their vertices included); raises :class:`HypothesisViolationError`
+    otherwise. The branch is inside when the arc, closed by its axis chord,
+    winds around the reflected pole ``-conj(s)``, just as ``J + J^`` winds around ``s``.
     A pole within ``_ON_CURVE_TOL`` of ``J^`` takes the inside branch.
     ``analytic_constant`` must be positive and finite.
     """
@@ -231,9 +233,6 @@ def arc_constant(
         analytic_constant, "the analytic constant must be positive and finite, got {!r}"
     )
     ss = _inside_disk(s, "the pole must lie strictly inside the unit disk")
-    for v in arc.vertices:
-        if ss == v:
-            raise DomainError("the pole must not coincide with an arc vertex")
 
     y_lo, y_hi = enclosed_axis_segment(arc)
 

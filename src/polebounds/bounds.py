@@ -330,8 +330,7 @@ def table_rows(p_list=DEFAULT_TABLE_P) -> list[TableRow]:
     return rows
 
 
-def round_half_up(x: float, ndigits: int = 3) -> float:
-    """Round half away from zero, matching the table presentation."""
-    quantum = Decimal(1).scaleb(-ndigits)
+def round_half_up(x: float) -> float:
+    """Round half away from zero to three decimals, matching the table presentation."""
     # 400 digits hold any finite double to 3 decimals; the default 28 do not.
-    return float(Decimal(repr(x)).quantize(quantum, ROUND_HALF_UP, Context(prec=400)))
+    return float(Decimal(repr(x)).quantize(Decimal("0.001"), ROUND_HALF_UP, Context(prec=400)))

@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import accumulate
@@ -199,15 +200,38 @@ def _segment_feet(a, d, w):
     return s, abs(w - (a + s * d))
 
 
-def _check_polyline(verts, inside_disk: bool = False) -> None:
-    """At least two vertices, all inside ``D`` if ``inside_disk``, none equal to the next."""
+#: The message of a polyline vertex that is not a finite complex number.
+_MALFORMED = "polyline vertices must be finite complex numbers, got {!r}"
+
+
+def _check_polyline(vertices, inside_disk: bool = False) -> tuple[complex, ...]:
+    """``vertices`` as a tuple of ``complex``, checked as a polyline's vertices.
+
+    In order: at least two, all inside ``D`` if ``inside_disk``, all finite,
+    none equal to the next, and no step between two that overflows.
+    """
+    try:
+        verts = tuple(map(complex, vertices))
+    except (TypeError, ValueError):
+        raise DomainError(_MALFORMED.format(vertices)) from None
     if len(verts) < 2:
         raise DomainError("a polyline arc needs at least two vertices")
     if inside_disk:
         for v in verts:
             _inside_disk(v, "vertex {} is not strictly inside the unit disk")
-    if any(u == v for u, v in zip(verts, verts[1:])):
+    if not all(map(cmath.isfinite, verts)):
+        raise DomainError(_MALFORMED.format(vertices))
+    # between finite vertices, a zero step is a repeated vertex
+    steps = tuple(map(operator.sub, verts[1:], verts))
+    if 0 in steps:
         raise DomainError("consecutive vertices must be distinct")
+    try:
+        longest = max(map(abs, steps))  # inf, or OverflowError from abs, once a step overflows
+    except OverflowError:
+        longest = math.inf
+    if longest == math.inf:
+        raise DomainError("polyline vertices are too far apart: a step overflows")
+    return verts
 
 
 def _polyline_curve(vertices, label: str = "polyline") -> Curve:
@@ -216,13 +240,7 @@ def _polyline_curve(vertices, label: str = "polyline") -> Curve:
     A parameter local to its segment keeps the nodes of a panel near a pole
     as precise as the panel is narrow.
     """
-    _check_polyline(vertices)
-    try:
-        verts = np.array(vertices, dtype=complex)
-    except (TypeError, ValueError):
-        verts = None
-    if verts is None or verts.ndim != 1 or not np.isfinite(verts).all():
-        raise DomainError(f"polyline vertices must be finite complex numbers, got {vertices!r}")
+    verts = np.array(_check_polyline(vertices), dtype=complex)
     starts, steps = verts[:-1], verts[1:] - verts[:-1]
     pieces = np.empty((3, len(steps)))
     pieces[_START] = 0.0

@@ -100,9 +100,12 @@ def _segments_cross_scalar(a, b, c, d):
 def _is_simple_scalar(verts):
     n = len(verts) - 1
     for i in range(n):
+        if i + 1 < n:
+            a, b, c = verts[i : i + 3]
+            dot = (b.real - a.real) * (c.real - b.real) + (b.imag - a.imag) * (c.imag - b.imag)
+            if _orient_scalar(a, b, c) == 0.0 and dot < 0.0:
+                return False  # adjacent segments fold back over each other
         for j in range(i + 2, n):
-            if i == 0 and j == n - 1 and verts[0] == verts[n]:
-                continue
             if _segments_cross_scalar(verts[i], verts[i + 1], verts[j], verts[j + 1]):
                 return False
     return True
@@ -150,18 +153,34 @@ def test_array_simplicity_matches_pairwise_loop_on_lattice(monkeypatch, pair_blo
         (-0.5j, 0.5j, 0.4 + 0.5j, 0.4, 0.0),  # a vertex touches an earlier segment
         (-0.5j, 0.4 - 0.5j, 0.4 + 0.5j, 0.4 + 0.2j, 0.4 - 0.2j),  # collinear overlap
         (-0.4 - 0.4j, 0.4 + 0.4j, 0.4 - 0.4j, -0.4 + 0.4j, -0.4 - 0.4j),  # closed bow tie
+        (-0.5j, 0.4 - 0.5j, 0.4 + 0.5j, 0.5j, -0.5j),  # closed square
+        (-0.5j, -0.4 - 0.2j, -0.4 + 0.2j, -0.5j),  # closed triangle
+        (-0.5j, -0.5, -0.25 - 0.25j),  # the last segment folds back
+        (-0.25 - 0.25j, -0.5, -0.5j, -0.6 + 0.3j, 0.5j),  # the first segment folds back
+        (0.5j, -0.6 + 0.2j, -0.5j, -0.5, -0.25 - 0.25j),  # a longer polyline's last fold
+        (-0.5j, 0.5j, 0j),  # back along the axis
+        (0.1j, 0.3, 0.1j),  # there and back
     ],
-    ids=["x_crossing", "vertex_on_segment", "collinear_overlap", "closed_loop"],
+    ids=[
+        "x_crossing",
+        "vertex_on_segment",
+        "collinear_overlap",
+        "closed_loop",
+        "closed_square",
+        "closed_triangle",
+        "last_fold",
+        "first_fold",
+        "long_last_fold",
+        "axis_fold",
+        "there_and_back",
+    ],
 )
 def test_non_simple_polylines_rejected(verts):
+    # the closed loops and the folds were accepted: only non-adjacent pairs
+    # were tested, and a closed loop's first and last segments were exempt
     assert not _is_simple_scalar(verts)
     with pytest.raises(DomainError, match="not simple"):
         PolylineArc(verts)
-
-
-def test_closed_loop_may_share_its_first_vertex():
-    square = (-0.5j, 0.4 - 0.5j, 0.4 + 0.5j, 0.5j, -0.5j)
-    assert PolylineArc(square).vertices == square
 
 
 def test_normalize_returns_an_axis_arc_itself():
@@ -276,7 +295,7 @@ def test_hypothesis_violations():
         arc_constant(0.0 + 0.1j, J_LEFT)  # on the enclosed axis segment
     with pytest.raises(HypothesisViolationError):
         arc_constant(-0.45 + 0.1j, J_LEFT)  # on the arc itself
-    with pytest.raises(DomainError):
+    with pytest.raises(HypothesisViolationError, match="on the arc"):
         arc_constant(-0.45 - 0.25j, J_LEFT)  # coincides with a vertex
 
 

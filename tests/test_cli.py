@@ -430,6 +430,15 @@ def test_arc_overflowing_modulus_exits_2(tmp_path, capsys):
     assert err.count("\n") == 1 and f"{path}:3:" in err
 
 
+def test_arc_closed_loop_exits_2(tmp_path, capsys):
+    # a closed loop was accepted as simple, then rejected by the normalization
+    # with "endpoints must be distinct"
+    path = tmp_path / "loop.txt"
+    path.write_text("pole 0.2 0.0\n0.0 -0.5\n-0.4 -0.2\n-0.4 0.2\n0.0 -0.5\n")
+    err = _assert_usage_error(["arc", "--family", "mobius", "--file", str(path)], capsys)
+    assert err == "error: polyline is not simple: segments cross\n"
+
+
 def test_harmonic_lower_halfplane_exits_2():
     code, _ = run(["harmonic", "--z", "1,-1", "--a", "1", "--b", "4", "--p", "0.5"])
     assert code == 2

@@ -247,12 +247,46 @@ def test_a_malformed_curve_raises_domain_error(call):
         lambda: polyline_image_length(mobius_family(0.5), [0.1j, math.nan, 0.3]),
         lambda: segment_curve(0.1j, complex(0.2, math.inf)),
         lambda: segment_curve([0.1, 0.2], [0.3, 0.4]),
+        lambda: PolylineArc((None, 0.1j)),
+        lambda: PolylineArc("ab"),
+        lambda: PolylineArc(("x", 0.1j)),
+        lambda: PolylineArc(([0.1, 0.2], [0.3, 0.4])),
+        lambda: PolylineArc(5),
     ],
-    ids=["none", "string", "bad-string", "nan", "inf", "nested"],
+    ids=[
+        "none",
+        "string",
+        "bad-string",
+        "nan",
+        "inf",
+        "nested",
+        "arc-none",
+        "arc-string",
+        "arc-bad-string",
+        "arc-nested",
+        "arc-number",
+    ],
 )
 def test_a_bad_vertex_raises_domain_error(call):
-    # None passed "within nan" of the pole, the strings raised ValueError
+    # None passed "within nan" of the pole, the strings raised ValueError; in
+    # PolylineArc every case raised TypeError or ValueError
     with pytest.raises(DomainError, match="vertices must be finite complex numbers"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: polyline_image_length(mobius_family(0.5), [-1.7e308, 1.7e308]),
+        lambda: segment_curve(-1.7e308, 1.7e308),
+        lambda: polyline_image_length(mobius_family(0.5), [0j, complex(1.5e308, 1.5e308)]),
+    ],
+    ids=["image-length", "segment", "length"],
+)
+def test_a_step_that_overflows_raises_domain_error(call):
+    # these warned of overflow, then passed "within nan" of the pole, made a
+    # curve of infinite speed, or raised OverflowError
+    with pytest.raises(DomainError, match="a step overflows"):
         call()
 
 
