@@ -147,6 +147,13 @@ class WosEstimate:
     n_capped: int
 
 
+def _wos_jump(rng, dist):
+    """Per walk, in order, its next normal pair ``g`` times ``dist / |g|`` (nan if ``g = 0``)."""
+    step = rng.standard_normal(2 * dist.size).view(complex)
+    step *= dist / abs(step)
+    return step
+
+
 def wos_harmonic_measure(
     z: complex,
     a: float,
@@ -162,15 +169,21 @@ def wos_harmonic_measure(
     is the point ``-1``, whose distance never falls below ``Im z``: the walk
     sees the full half-plane, and any ``a < b`` is allowed (useful for
     validating against :func:`hm_halfplane`). Each step jumps to a uniform
-    point on the largest inscribed circle at the current position; a walk is
+    point on the largest inscribed circle at the current position, of radius
+    ``dist``: a standard normal pair ``g`` times ``dist / |g|``. Its direction
+    is uniform (Muller 1959) and needs no trigonometry. A walk is
     absorbed once within ``eps`` of the boundary and scores 1 when its nearest
     boundary point lies in ``[a, b]`` on the real axis, or as a miss once a
-    step overflows; ``eps`` must be positive and below the start's distance
-    to the boundary, and ``n_walks`` in [1, WOS_MAX_WALKS].
+    step overflows or its pair is zero (probability 0 in exact arithmetic;
+    the step is then nan); ``eps`` must be positive and below the start's
+    distance to the boundary, and ``n_walks`` in [1, WOS_MAX_WALKS].
     Walks exceeding the step cap are discarded and reported in ``n_capped``.
 
-    All walks advance in lockstep on a single seeded generator, so a given
-    ``(inputs, seed)`` pair always reproduces the same estimate.
+    All walks advance in lockstep on a single seeded generator, each live
+    walk taking the next pair in order, so a given ``(inputs, seed)`` pair
+    always reproduces the same estimate. Estimates seeded before directions
+    were drawn as normal pairs (they were ``exp(1j * theta)``) differ, with
+    the same distribution.
     """
     import numpy as np
 
@@ -200,9 +213,10 @@ def wos_harmonic_measure(
             f"eps={eps!r} must be below the start's distance {start!r} to the boundary"
         )
 
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing walk is a miss
+    # an overflowing walk, or one whose direction pair is zero, is a miss
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # pts holds the live walks only, in their original order, so each draws
-        # the same variates as it would in a walk-indexed array
+        # the same normal pair as it would in a walk-indexed array
         rng = np.random.default_rng(seed)
         pts = np.full(n_walks, complex(zz), dtype=np.complex128)
         hits = capped = 0
@@ -212,7 +226,7 @@ def wos_harmonic_measure(
                 break
             gap = _omega1_gap(pts, disk)
             dist = np.minimum(pts.imag, gap)
-            absorb = ~(dist >= eps)  # a nan walk overflowed: absorbed, and scores 0
+            absorb = ~(dist >= eps)  # a nan walk overflowed or drew (0, 0): absorbed, scores 0
             if absorb.any():
                 zdone = pts[absorb]
                 nearest_on_axis = zdone.imag <= gap[absorb]
@@ -222,8 +236,7 @@ def wos_harmonic_measure(
                 pts = pts[keep]
                 dist = dist[keep]
             if pts.size:
-                theta = rng.uniform(0.0, 2.0 * math.pi, pts.size)
-                pts += dist * np.exp(1j * theta)
+                pts += _wos_jump(rng, dist)
         else:
             capped = int(pts.size)
 

@@ -71,8 +71,11 @@ POLE_GUARD_DISTANCE = 1e-6
 #: Default absolute quadrature tolerance per curve.
 DEFAULT_LENGTH_TOL = 1e-9
 
-#: Most panels one length may evaluate (15 integrand points each); bounds the
-#: work and the memory of a quadrature that cannot converge.
+#: Most panels one length may evaluate after its first panels (15 integrand
+#: points each); bounds the work and the memory of a quadrature that cannot
+#: converge. The first panels are not counted: there are at most
+#: ``2 * _GRADES + 2`` per piece, so their number, and the memory they take,
+#: grows with the pieces of the curve alone.
 MAX_QUAD_PANELS = 4096
 
 # Gauss-Kronrod 7-15 rule on [-1, 1] (QUADPACK qk15): the non-negative Kronrod
@@ -217,8 +220,13 @@ def _check_polyline(vertices, inside_disk: bool = False) -> tuple[complex, ...]:
     if len(verts) < 2:
         raise DomainError("a polyline arc needs at least two vertices")
     if inside_disk:
-        for v in verts:
-            _inside_disk(v, "vertex {} is not strictly inside the unit disk")
+        try:
+            inside = all(map((1.0).__gt__, map(abs, verts)))  # False at nan
+        except OverflowError:  # |v| of a vertex with huge components
+            inside = False
+        if not inside:  # the first vertex outside, worded by the one point check
+            for v in verts:
+                _inside_disk(v, "vertex {} is not strictly inside the unit disk")
     if not all(map(cmath.isfinite, verts)):
         raise DomainError(_MALFORMED.format(vertices))
     # between finite vertices, a zero step is a repeated vertex
@@ -411,9 +419,12 @@ def _gauss_kronrod(
     one call of ``derivative``. A panel is accepted when ``|K15 - G7|`` is
     within its share of ``tol`` or within its roundoff floor; the others are
     replaced in place by their :data:`_SPLIT` equal parts, all evaluated
-    together in the next round. Returns ``(length, err)`` per curve.
+    together in the next round. A curve may evaluate at most
+    :data:`MAX_QUAD_PANELS` parts over all rounds after the first. Returns
+    ``(length, err)`` per curve.
     """
-    values, errors, evaluated = [0.0] * len(counts), [0.0] * len(counts), [0] * len(counts)
+    # the first panels do not count toward the cap
+    values, errors, evaluated = [0.0] * len(counts), [0.0] * len(counts), [-c for c in counts]
     while len(panels):
         evaluated = [e + c for e, c in zip(evaluated, counts)]
         if max(evaluated) > MAX_QUAD_PANELS:

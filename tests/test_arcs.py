@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -72,6 +73,23 @@ def test_polyline_validation():
         PolylineArc((0.1, 0.1, 0.2j))  # repeated vertex
     with pytest.raises(DomainError):
         PolylineArc((-0.5j, 0.5 + 0.5j, 0.5 - 0.5j, -0.2 + 0.6j))  # self-crossing
+
+
+@pytest.mark.parametrize(
+    "bad, shown",
+    [
+        (complex(math.nan, 0.2), "(nan+0.2j)"),
+        (1 + 0j, "(1+0j)"),
+        (1e300j, "1e+300j"),
+        (complex(1.7e308, 1.7e308), "(1.7e+308+1.7e+308j)"),
+    ],
+    ids=["nan", "one", "1e300j", "abs-overflows"],
+)
+def test_vertex_outside_the_disk_is_named_first(bad, shown):
+    # the first vertex outside is named, before a later one or a repeated vertex
+    message = f"^vertex {re.escape(shown)} is not strictly inside the unit disk$"
+    with pytest.raises(DomainError, match=message):
+        PolylineArc((-0.5j, -0.5j, bad, 1.5 + 0j))
 
 
 def _orient_scalar(a, b, c):

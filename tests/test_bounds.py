@@ -497,6 +497,42 @@ def test_table_measure_minima_are_certified_by_interval_enclosures():
         mp.iv.dps = dps
 
 
+#: The paper's cells that exceed the outward rounding of their true value, by
+#: this many units of the last place. Each is the bound at some q near q_star,
+#: rounded up: a valid bound, but not the minimum.
+_PAPER_CELL_EXCESS = {(0.6, "angle_min"): 1, (0.5, "angle_min"): 2, (0.4, "measure_min"): 1}
+
+
+def test_paper_table_rounds_each_cell_outward():
+    # 40-digit true values: the closed forms, and each minimum as the bound at
+    # the library's q_star. The nearest is 2.9e-6 from a rounding boundary
+    # (closed_form at p = 0.2), so no error of these values moves a rounding.
+    from test_acceptance import EXPECTED_TABLE
+
+    excess = {}
+    with mp.workdps(40):
+        for p, cells in EXPECTED_TABLE.items():
+            mp_p = mp.mpf(p)
+            true = {
+                "lower": (1 + mp_p) ** 2 * mp.pi / (4 * mp_p),
+                "closed_form": (1 + mp_p**2) / mp_p * (1 + mp.sqrt(2) + 20 / (3 * mp_p)) ** 2
+                * mp.log(2),
+                "measure_min": _mp_measure_bound(mp_p, minimize_over_q(p, "measure").q_star),
+            }
+            if cells[1] is not None:
+                true["angle_min"] = _mp_angle_bound(mp_p, minimize_over_q(p, "angle").q_star)
+            for name, cell in zip(("lower", "angle_min", "closed_form", "measure_min"), cells):
+                if cell is None:
+                    continue
+                x = 1000 * true[name]
+                assert min(x - mp.floor(x), mp.ceil(x) - x) > 1e-3, (p, name)
+                # lower is rounded down, the three upper bounds up
+                outward = mp.floor(x) if name == "lower" else mp.ceil(x)
+                excess[p, name] = round(1000 * cell) - int(outward)
+    assert len(excess) == 40
+    assert {cell: units for cell, units in excess.items() if units} == _PAPER_CELL_EXCESS
+
+
 def test_minimize_rejects_unknown_kind():
     with pytest.raises(DomainError):
         minimize_over_q(0.5, "nonsense")

@@ -20,6 +20,7 @@ from polebounds import (
     measure_cot_bound,
     wos_harmonic_measure,
 )
+from polebounds.harmonic import _wos_jump
 
 RNG = np.random.default_rng(7)
 
@@ -251,13 +252,14 @@ def test_wos_reproducible_for_fixed_seed():
 
 def test_wos_point_disk_and_omega1_estimates_are_pinned():
     # p = 1 runs the Omega1 walk with the excluded disk shrunk to the point -1;
-    # both estimates are the ones the separate half-plane walk gave
+    # each step's direction is a normalized standard normal pair (exact 0.62567
+    # and 0.18717)
     assert wos_harmonic_measure(0.5 + 1j, -1.0, 2.0, p=1.0, n_walks=2000, seed=11) == (
-        WosEstimate(mean=0.6205, stderr=0.010850800661702343, n_walks=2000, n_used=2000,
+        WosEstimate(mean=0.6285, stderr=0.010804807957571482, n_walks=2000, n_used=2000,
                     n_capped=0)
     )
     assert wos_harmonic_measure(2j, 1.0, 4.0, p=0.5, n_walks=2000, seed=5) == WosEstimate(
-        mean=0.1765, stderr=0.008524897360085926, n_walks=2000, n_used=2000, n_capped=0
+        mean=0.187, stderr=0.00871868682772813, n_walks=2000, n_used=2000, n_capped=0
     )
 
 
@@ -283,6 +285,30 @@ def test_wos_accepts_eps_just_below_start_distance():
     assert est.n_used == 10
 
 
+def test_wos_jump_lands_on_its_circle_at_a_uniform_angle():
+    n = 100_000
+    dist = np.geomspace(1e-7, 1e3, n)
+    step = _wos_jump(np.random.default_rng(2026), dist)
+    assert np.all(np.abs(np.abs(step) - dist) <= 4.0 * np.spacing(dist))
+    # Kolmogorov-Smirnov against the uniform angle; 1.9495 / sqrt(n) is the
+    # asymptotic critical value at level 0.1%
+    u = np.sort(np.angle(step)) / (2.0 * math.pi) + 0.5
+    ranks = np.arange(1, n + 1) / n
+    ks = max(np.max(ranks - u), np.max(u - (ranks - 1.0 / n)))
+    assert ks < 1.9495 / math.sqrt(n)
+
+
+def test_wos_zero_pair_is_absorbed_as_a_miss(monkeypatch):
+    # probability 0 in exact arithmetic; the step's dist / 0 must not warn
+    class ZeroPairs:
+        def standard_normal(self, size):
+            return np.zeros(size)
+
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: ZeroPairs())
+    est = wos_harmonic_measure(2j, 1.0, 4.0, p=0.5, n_walks=3)
+    assert (est.mean, est.n_used, est.n_capped) == (0.0, 3, 0)
+
+
 def _walk_indexed_wos(z, a, b, center, radius, n_walks, eps, seed):
     """The walk loop over a full walk-indexed array, as a reference."""
     rng = np.random.default_rng(seed)
@@ -298,7 +324,8 @@ def _walk_indexed_wos(z, a, b, center, radius, n_walks, eps, seed):
         hit[done] = (pts[done].imag <= np.abs(pts[done] + center) - radius) & (x >= a) & (x <= b)
         active, dist = active[~absorb], dist[~absorb]
         if active.size:
-            pts[active] += dist * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, active.size))
+            step = rng.standard_normal(2 * active.size).view(np.complex128)
+            pts[active] += step * (dist / np.abs(step))
     return int(hit.sum())
 
 

@@ -529,9 +529,25 @@ def test_tol_below_roundoff_raises():
 
 
 def test_panel_cap_raises(monkeypatch):
+    # the cap counts the panels after the first 20; at tol 1e-12 this length
+    # needs more than 64 of them
     monkeypatch.setattr(lengths, "MAX_QUAD_PANELS", 8)
-    with pytest.raises(QuadratureError):
-        image_curve_length(mobius_family(0.02), vertical_diameter())
+    with pytest.raises(QuadratureError, match="within 8 panels"):
+        image_curve_length(mobius_family(0.02), vertical_diameter(), tol=1e-12)
+
+
+def test_polyline_with_more_segments_than_the_panel_cap():
+    # the first panels counted toward the cap, so beyond 4096 segments this
+    # raised "did not converge within 4096 panels" before integrating anything
+    n = 5000
+    verts = [complex(-0.6 + 1.2 * k / n, 6e-5 * (-1) ** k) for k in range(n + 1)]
+    f = mobius_family(0.5j)
+    ev = f.evaluate
+    length, err = polyline_image_length(f, verts, tol=1e-9)
+    exact = math.fsum(
+        arc_length_through(ev(a), ev(0.5 * (a + b)), ev(b)) for a, b in zip(verts, verts[1:])
+    )
+    assert err <= 1e-9 and abs(length - exact) <= 1e-9
 
 
 def test_conservative_verdict_accounts_for_errors():
