@@ -30,6 +30,7 @@ reflection makes that the winding number of ``J + J^`` about ``s``.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,47 +146,43 @@ class PolylineArc:
 
 
 def enclosed_axis_segment(arc: PolylineArc) -> tuple[float, float]:
-    """The axis segment enclosed by an arc whose endpoints lie on the axis.
+    """The axis segment ``gamma~`` enclosed by an arc whose endpoints lie on the axis.
 
     Returns ``(y_lo, y_hi)`` for the vertical segment ``[i y_lo, i y_hi]``:
-    the span of all points where the arc meets the imaginary axis. Everything
-    of the axis outside that span is reachable from outside the disk, so the
-    span is exactly the non-reachable part. Tangential contact (an interior
-    touch without a sign change, or an interior sub-segment running along the
-    axis) is rejected as degenerate; an arc lying entirely on the axis is the
-    trivial case and is allowed.
+    the span of every point where the arc meets the imaginary axis, that is of
+    its two endpoints, its interior vertices on the axis and its crossings of
+    the axis. Everything of the axis outside that span is reachable from
+    outside the disk, so the span is exactly the non-reachable part. Two
+    degenerate contacts are rejected: a sub-segment running along the axis,
+    and an interior vertex touching it with both neighbors on one side. An
+    arc lying entirely on the axis is the trivial case and is allowed.
     """
     verts = arc.vertices
     z1, z2 = arc.endpoints
     if abs(z1.real) > GEOMETRY_TOL or abs(z2.real) > GEOMETRY_TOL:
         raise DomainError("arc endpoints must lie on the imaginary axis (normalize first)")
-    xs = [v.real for v in verts]
-    on = [abs(x) <= GEOMETRY_TOL for x in xs]
+    on = [abs(v.real) <= GEOMETRY_TOL for v in verts]
     if all(on):
         ys = [v.imag for v in verts]
         return min(ys), max(ys)
+    if any(map(operator.and_, on, on[1:])):
+        raise DegenerateGeometryError("arc runs along the imaginary axis")
 
-    n = len(verts)
-    for i in range(n - 1):
-        if on[i] and on[i + 1]:
-            raise DegenerateGeometryError("arc runs along the imaginary axis")
-
-    ys: list[float] = []
-    for i, v in enumerate(verts):
-        if not on[i]:
-            continue
-        if 0 < i < n - 1:
-            if xs[i - 1] * xs[i + 1] > 0.0:
+    # The segments at the endpoints meet the axis only there. Vertices precede
+    # crossings, so a tie of 0.0 and -0.0 goes to the vertex in any segment order.
+    ys, crossings = [z1.imag], []
+    for u, v, w, on_v, on_w in zip(verts, verts[1:], verts[2:], on[1:], on[2:]):
+        if on_v:
+            if u.real * w.real > 0.0:
                 raise DegenerateGeometryError(
                     f"arc touches the imaginary axis tangentially at vertex {v}"
                 )
-        ys.append(v.imag)
-    for i in range(n - 1):
-        if on[i] or on[i + 1]:
-            continue
-        if xs[i] * xs[i + 1] < 0.0:
-            t = xs[i] / (xs[i] - xs[i + 1])
-            ys.append(verts[i].imag + t * (verts[i + 1].imag - verts[i].imag))
+            ys.append(v.imag)
+        elif not on_w and v.real * w.real < 0.0:
+            t = v.real / (v.real - w.real)
+            crossings.append(v.imag + t * (w.imag - v.imag))
+    ys.append(z2.imag)
+    ys += crossings
     return min(ys), max(ys)
 
 
@@ -196,9 +193,7 @@ def winding_number(point: complex, loop: tuple[complex, ...]) -> int:
     point must not lie on the loop.
     """
     w = 0
-    n = len(loop)
-    for k in range(n):
-        a, b = loop[k], loop[(k + 1) % n]
+    for a, b in zip(loop, loop[1:] + loop[:1]):
         if a.imag <= point.imag:
             if b.imag > point.imag and _orient(a, b, point) > 0.0:
                 w += 1

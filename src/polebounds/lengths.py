@@ -181,8 +181,10 @@ class Curve:
     ``point(t, piece)`` evaluates an array of parameters, each row of ``t``
     inside the piece of that index. ``pieces`` has one column per piece and
     three rows: its start and end parameter and its constant speed
-    ``|g'(t)|``. ``nearest(w)`` returns, per piece, the parameter of the
-    piece's point nearest ``w`` and the distance between the two.
+    ``|g'(t)|``. ``pieces`` is read-only: the built-in curves are shared, so
+    a write would change every later length. ``nearest(w)`` returns, per
+    piece, the parameter of the piece's point nearest ``w`` and the distance
+    between the two.
     """
 
     point: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -254,6 +256,7 @@ def _polyline_curve(vertices, label: str = "polyline") -> Curve:
     pieces[_START] = 0.0
     pieces[_END] = 1.0
     np.abs(steps, out=pieces[_SPEED])
+    pieces.flags.writeable = False
     start_col, step_col = starts[:, None], steps[:, None]
     return Curve(
         point=lambda t, piece: start_col[piece] + t * step_col[piece],
@@ -295,6 +298,7 @@ _T_MINUS = Curve(
     label="T-",
     nearest=_t_minus_nearest,
 )
+_T_MINUS.pieces.flags.writeable = False
 
 
 def left_half_circle() -> Curve:

@@ -240,6 +240,18 @@ def test_tangential_touch_is_degenerate():
         enclosed_axis_segment(PolylineArc((-0.3j, 0.3 + 0j, 0.1j, 0.3j, 0.2 + 0.4j, 0.5j)))
 
 
+def test_a_vertex_on_the_axis_wins_a_signed_zero_tie_with_a_crossing():
+    # the crossing at 0.0 (segment 1) precedes the on-axis vertex at -0.0 (vertex 7)
+    # along the arc; min over the vertices, then the crossings, returns the vertex's -0.0
+    arc = PolylineArc((
+        0.5j, 0.3 + 0.1j, -0.3 - 0.1j, -0.5 - 0.3j, -0.6 + 0j, -0.6 - 0.5j, -0.3 - 0.15j,
+        complex(1e-13, -0.0), 0.3 + 0.05j, 0.8 + 0j, 0.8 + 0.55j, 0.6j,
+    ))
+    y_lo, y_hi = enclosed_axis_segment(arc)
+    assert (y_lo, y_hi) == (0.0, 0.6)
+    assert math.copysign(1.0, y_lo) == -1.0
+
+
 def test_unnormalized_endpoints_rejected():
     with pytest.raises(DomainError):
         enclosed_axis_segment(PolylineArc((0.1 + 0j, 0.5j)))
@@ -315,6 +327,15 @@ def test_hypothesis_violations():
         arc_constant(-0.45 + 0.1j, J_LEFT)  # on the arc itself
     with pytest.raises(HypothesisViolationError, match="on the arc"):
         arc_constant(-0.45 - 0.25j, J_LEFT)  # coincides with a vertex
+
+
+def test_inside_branch_rejects_tau_that_rounds_to_1():
+    # the pole mirrors a vertex one ulp inside the unit circle; its pseudo-distance
+    # to [0.8i, 0.9i] rounds to 1, so the distance is inf and tau = tanh(inf) = 1
+    s = complex(math.nextafter(1.0, 0.0), 0.0)
+    arc = PolylineArc((0.8j, -s, 0.9j))
+    with pytest.raises(DegenerateGeometryError, match=r"tau = 1\.0 outside \(0, 1\)"):
+        arc_constant(s, arc)
 
 
 def mirror_loop_winds(s: complex, arc: PolylineArc) -> bool:

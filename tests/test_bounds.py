@@ -786,6 +786,33 @@ def test_every_bound_falls_below_and_rises_above_the_bracket(kind, sign, e_range
     assert _sign_certified(_TAILS[kind], sign, poles, e_range, max_boxes=20_000) is not None
 
 
+#: x on q - 1 in (0, 1e-6], from 0 to where _FALLS starts, rounded outward.
+_NEAR_X = mp.iv.mpf([0, _x_of(_FALLS[0]).b])
+
+#: Eight boxes covering the poles [0, 1].
+_POLE_BOXES = [mp.iv.mpf([mp.mpf(k) / 8, mp.mpf(k + 1) / 8]) for k in range(8)]
+
+
+def _one_plus_tail_negative(tail, x):
+    """Whether ``1 + tail < 0`` on ``x`` for every pole box.
+
+    Then ``S < 0`` there wherever the first term is at most 1.
+    """
+    return all((1 + tail(poles, x)).b < 0 for poles in _POLE_BOXES)
+
+
+@pytest.mark.parametrize("kind", ["measure", "angle"])
+def test_every_bound_falls_next_to_q_equal_1(kind):
+    # at x = 0 the first term x / ((1 + x) atanh x) is 0/0 and has no finite
+    # enclosure, but atanh x >= x makes it at most 1 / (1 + x) <= 1, so
+    # S <= 1 + tail; with _FALLS this proves S < 0 on all of q in (1, 2.5]
+    assert _iv_first_term(_NEAR_X).b == mp.inf
+    assert _one_plus_tail_negative(_TAILS[kind], _NEAR_X)
+    # the same enclosures prove nothing where S > 0, at q - 1 in [1e3, 1e4]
+    rising = mp.iv.mpf([_x_of(1e3).a, _x_of(1e4).b])
+    assert not _one_plus_tail_negative(_TAILS[kind], rising)
+
+
 @pytest.mark.parametrize("kind", ["measure", "angle"])
 def test_slope_increases_across_the_bracket(kind):
     # dS/dx > 0, and dx/dq = 2/(q + 1)^2 > 0, so S rises through [2.5, 6.5] and

@@ -270,6 +270,12 @@ def test_translation_moves_excluded_disk_to_documented_circle():
         assert abs(abs(w - new_center) - new_radius) < 1e-12
 
 
+@pytest.mark.parametrize("a", [1.0, -1.0, 1.5, math.nan])
+def test_translation_rejects_a_outside_the_open_interval(a):
+    with pytest.raises(DomainError, match=r"a must lie in \(-1, 1\)"):
+        vertical_translation(0.1, a)
+
+
 @given(st.floats(min_value=-0.99, max_value=0.99), open_unit)
 @settings(max_examples=50)
 def test_translation_is_disk_automorphism(a, r):

@@ -79,6 +79,9 @@ def test_halfplane_domain_errors():
         hm_halfplane(1 - 1j, 0.0, 1.0)
     with pytest.raises(DomainError):
         hm_halfplane(1j, 2.0, 1.0)
+    # a quarter of Im z rounds to 0 next to inputs beyond 2**1020
+    with pytest.raises(DomainError, match="rounds to 0 or pi"):
+        hm_halfplane(complex(0, 5e-324), -1e308, 1e308)
 
 
 # ---------------------------------------------------------------------- omega1
@@ -170,6 +173,9 @@ def test_omega1_rejects_outside_points():
         hm_omega1(-1 + 0.1j, 1.0, 2.0, 0.5)  # inside the excluded disk's image
     with pytest.raises(DomainError):
         hm_omega1(1 - 1j, 1.0, 2.0, 0.5)
+    # inside Omega1, but psi(z) - psi(a) rounds to 0 one subnormal above the endpoint
+    with pytest.raises(DomainError, match="too close to an endpoint"):
+        hm_omega1(1 + 5e-324j, 1.0, 2.0, 0.5)
 
 
 # -------------------------------------------------------------- cotangent bound
@@ -356,6 +362,10 @@ def test_wos_input_validation():
         wos_harmonic_measure(-1 + 0.1j, 1.0, 4.0, p=0.5, n_walks=10)
     with pytest.raises(DomainError):
         wos_harmonic_measure(2j, -1.0, 4.0, p=0.5, n_walks=10)
+    with pytest.raises(DomainError, match="need a < b"):
+        wos_harmonic_measure(1j, 2.0, 1.0, 0.5, n_walks=10)
+    with pytest.raises(DomainError, match="z must lie in the open upper half-plane"):
+        wos_harmonic_measure(-1j, 0.0, 1.0, 1.0, n_walks=10)
 
 
 def test_wos_rejects_more_walks_than_the_cap():
@@ -402,6 +412,8 @@ def test_distance_bound_near_boundary_limit():
 
 
 def test_distance_bound_rejects_bad_setups():
+    with pytest.raises(DomainError, match="need a < b"):
+        check_distance_measure_bound(2.0, 1.0, 1j, 1.0, 0j)
     with pytest.raises(DomainError):
         # segment pokes out of B(w0, d)
         check_distance_measure_bound(-1.0, 5.0, 1j, d=1.0, w0=0.0)

@@ -635,6 +635,16 @@ def test_verify_inequality_mobius():
     assert rep.bound.kind == "measure"
 
 
+def test_curve_pieces_are_read_only():
+    # the built-in curves are shared: a write to their pieces doubled every later length of I1
+    before = verify_inequality(mobius_family(0.5), 0.5)
+    for curve in (vertical_diameter(), left_half_circle(), segment_curve(0.1j, 0.5 + 0.2j)):
+        with pytest.raises(ValueError, match="read-only"):
+            curve.pieces[2] *= 2
+    assert verify_inequality(mobius_family(0.5), 0.5) == before
+    assert before.length_i1 == pytest.approx(4.4285948711763625, rel=1e-12)
+
+
 def test_verify_inequality_koebe():
     rep = verify_inequality(koebe_family(0.3), 0.3)
     assert rep.passed
