@@ -261,9 +261,9 @@ def minimize_over_q(p: float, kind: str) -> BoundResult:
     last bisection bracket: two adjacent doubles, one of them ``q_star``.
 
     Proven (``mpmath.iv``, ``tests/test_bounds.py``), for every pole of every
-    kind: ``S < 0`` on (1, 2.5], ``S > 0`` on [6.5, 1 + 1e8] and
+    kind: ``S < 0`` on (1, 2.5], ``S > 0`` on [6.5, inf) and
     ``dS/dq > 0`` on [2.5, 6.5], so the one sign change of ``S`` is the
-    minimum. A minimum that overflows (measure, ``p`` below ~2.7e-103) is a
+    minimum over all ``q > 1``. A minimum that overflows (measure, ``p`` below ~2.7e-103) is a
     DomainError.
 
     ``q_star`` is within 1e-14 of a 40-digit mpmath argmin for the measure

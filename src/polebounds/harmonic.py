@@ -181,9 +181,7 @@ def wos_harmonic_measure(
 
     All walks advance in lockstep on a single seeded generator, each live
     walk taking the next pair in order, so a given ``(inputs, seed)`` pair
-    always reproduces the same estimate. Estimates seeded before directions
-    were drawn as normal pairs (they were ``exp(1j * theta)``) differ, with
-    the same distribution.
+    always reproduces the same estimate.
     """
     import numpy as np
 

@@ -311,13 +311,17 @@ def left_half_circle() -> Curve:
 
 @dataclass(frozen=True)
 class TestFunction:
-    """A univalent test map: evaluation, derivative, and its pole location."""
+    """A univalent test map: evaluation, derivative, and its pole location.
+
+    ``derivative`` is elementwise: the quadrature passes it an array of points
+    and takes back an array of the same shape.
+    """
 
     __test__ = False  # keep pytest from collecting this as a test class
 
     id: str
     evaluate: Callable[[complex], complex]
-    derivative: Callable[[complex], complex]
+    derivative: Callable[[np.ndarray], np.ndarray]
     pole: complex
 
 
@@ -435,32 +439,26 @@ def _gauss_kronrod(
             raise QuadratureError(
                 f"adaptive Gauss-Kronrod did not converge within {MAX_QUAD_PANELS} panels"
             )
+        # the curves with panels this round, and the bounds of their rows
+        live = [i for i, c in enumerate(counts) if c]
+        bounds = list(accumulate((counts[i] for i in live), initial=0))
         nodes = panels @ _TO_NODES
         piece = panels[:, 4].astype(np.intp)
-        parts, start = [], 0
-        for curve, count in zip(curves, counts):
-            if count:
-                stop = start + count
-                parts.append(curve.point(nodes[start:stop], piece[start:stop]))
-                start = stop
-        z = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        d = derivative(z)
-        # a test map's derivative may be a constant
-        g = np.abs(d) if np.ndim(d) else np.full(z.shape, abs(d))
-        sums = g @ _RULES
+        z = np.concatenate(
+            [curves[i].point(nodes[s:e], piece[s:e]) for i, s, e in zip(live, bounds, bounds[1:])]
+        )
+        sums = np.abs(derivative(z)) @ _RULES
         sums *= panels[:, 2:3]
         # the integrand is >= 0: eps * integral of |.|
         floor = _ROUNDOFF_FLOOR * sums[:, 0]
         np.maximum(np.abs(sums[:, 1]), floor, out=sums[:, 1])
         done = sums[:, 1] <= np.maximum(panels[:, 3], floor)
-        # per curve with panels this round: accepted value and error, panels split
-        live = [i for i, c in enumerate(counts) if c]
-        offsets = list(accumulate([counts[i] for i in live[:-1]], initial=0))
+        # per live curve: accepted value and error, panels split
         sums *= done[:, None]
         split = ~done
-        accepted = np.add.reduceat(sums, offsets).tolist()
+        accepted = np.add.reduceat(sums, bounds[:-1]).tolist()
         for i, (value, err), c in zip(
-            live, accepted, np.add.reduceat(split, offsets, dtype=np.intp).tolist()
+            live, accepted, np.add.reduceat(split, bounds[:-1], dtype=np.intp).tolist()
         ):
             values[i] += value
             errors[i] += err

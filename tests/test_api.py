@@ -1,6 +1,7 @@
-"""The public API of the package, pinned by name, and what importing it loads."""
+"""The public API: its names, what importing it loads, and the routes the benchmark traces."""
 
 import ast
+import io
 import os
 import subprocess
 import sys
@@ -124,3 +125,39 @@ def test_verify_and_arc_load_no_harmonic_measure(tmp_path):
     (after_arc,) = _probe([["arc", "--file", str(path), "--family", "mobius"]])
     assert "polebounds.arcs" in after_arc
     assert not {"polebounds.harmonic", "csv", "json"} & set(after_arc)
+
+
+#: The first ``arc_suite`` inputs take one arc of each vertex count, so every
+#: vertex bucket of the arc layer fills; two inputs of each other workload.
+_ROUTE_INPUTS = {"bound_table": 2, "ratio_verify": 2, "arc_suite": 16, "wos_oracle": 2}
+
+
+def test_every_benchmark_layer_is_reached(tmp_path, monkeypatch):
+    # benchmark/ reports a metric for each traced function and fails a run
+    # whose spans leave one unmeasured; this runs its tracer on a few inputs
+    # of every workload, so that a change of call routing fails here first.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "benchmark"))
+    import tracing
+    import workloads
+    from polebounds import arcs, bounds, cli, conformal, harmonic, hyperbolic, lengths
+
+    # resolved before the tracer patches the submodules, so that the package
+    # caches the originals, which uninstall then puts back
+    for name in polebounds.__all__:
+        getattr(polebounds, name)
+    modules = {"polebounds": polebounds, "bounds": bounds, "lengths": lengths,
+               "hyperbolic": hyperbolic, "arcs": arcs, "harmonic": harmonic, "cli": cli,
+               "conformal": conformal}
+    tracer = tracing.Tracer()
+    undo = tracing.install(tracer, modules)
+    try:
+        for wl, n in _ROUTE_INPUTS.items():
+            for inp in workloads.generate(wl, 1, tmp_path / wl)[:n]:
+                workloads.call(wl, polebounds, inp, tracer.count_derivative)
+        assert cli.main(["table", "--p", "0.5", "--format", "json"], out=io.StringIO()) == 0
+    finally:
+        tracing.uninstall(undo)
+    figures = tracing.summarize(tracer.take(), sum(_ROUTE_INPUTS.values()) + 1, 1)
+    assert [name for name, value in figures.items() if value is None] == []
+    assert tracer.integrand_evals > 0
+    assert polebounds.verify_inequality is lengths.verify_inequality

@@ -635,8 +635,10 @@ def test_round_half_up_keeps_large_values():
 # on closed pole ranges: the measure tail in a on [0, 1] (a = 1 is p = 1, the
 # limit kind), the angle tail in k on [0, 1], which is p on [sqrt(2) - 1, 1].
 # A is decreasing (its derivative has the sign of log q - (q - 1) < 0), so on
-# [x0, x1] it lies between A(x1) and A(x0). Each function below takes mpmath.iv
-# intervals, or _Dual numbers over them.
+# [x0, x1] it lies between A(x1) and A(x0). Each tail is computed as y times
+# tail / y: 1 - x = y^2/(1 + x), and the measure g has terms in 1/y that
+# (1 - x)/y = y/(1 + x) cancels, so tail / y stays finite up to x = 1. Each
+# function below takes mpmath.iv intervals, or _Dual numbers over them.
 
 
 class _Dual:
@@ -695,23 +697,34 @@ def _iv_first_term(x):
     return 2 * x / ((1 + x) * _log((1 + x) / (1 - x)))
 
 
-def _iv_tail(x, s, g):
+def _iv_tail_over_y(s, h):
+    """``tail / y`` from ``s`` and ``h = (1 - x) g / y``."""
     r = _sqrt(1 + s * s)
-    return -(1 - x) * g * _sqrt(2 * r * (r + 1)) / (1 + s * s)
+    return -h * _sqrt(2 * r * (r + 1)) / (1 + s * s)
 
 
-def _iv_measure_tail(a, x):
+def _iv_measure_tail_over_y(a, x, y):
+    # g has two terms in 1/y; (1 - x)/y = y/(1 + x) leaves none in h
     aa, x2 = a * a, x * x
-    y = _sqrt(1 - x2)
     den = 1 + 2 * a - aa + (1 - aa) * x2 + 2 * aa * y
     s = 2 * a * x * (1 + a * y) / den
-    g = 1 - a * x2 / (y * (1 + a * y)) - 2 * x2 * (1 - aa - aa / y) / den
-    return _iv_tail(x, s, g)
+    h = (y - a * x2 / (1 + a * y) - 2 * x2 * ((1 - aa) * y - aa) / den) / (1 + x)
+    return _iv_tail_over_y(s, h)
 
 
-def _iv_angle_tail(k, x):
+def _iv_angle_tail_over_y(k, x, y):
     kx2 = k * x * x
-    return _iv_tail(x, (1 - k) * x / (1 + kx2), (1 - kx2) / (1 + kx2))
+    return _iv_tail_over_y((1 - k) * x / (1 + kx2), y / (1 + x) * (1 - kx2) / (1 + kx2))
+
+
+def _times_y(tail_over_y):
+    """The tail itself: ``y`` times ``tail_over_y`` at ``y = sqrt(1 - x^2)``."""
+
+    def tail(pole, x):
+        y = _sqrt(1 - x * x)
+        return y * tail_over_y(pole, x, y)
+
+    return tail
 
 
 def _x_of(e):
@@ -766,7 +779,8 @@ def _slope_monotone(tail, sign, poles, x_range, max_boxes):
     return done
 
 
-_TAILS = {"measure": _iv_measure_tail, "angle": _iv_angle_tail}
+_TAILS_OVER_Y = {"measure": _iv_measure_tail_over_y, "angle": _iv_angle_tail_over_y}
+_TAILS = {kind: _times_y(tail_over_y) for kind, tail_over_y in _TAILS_OVER_Y.items()}
 
 #: q - 1 where each bound falls (1e-6 rounded down) and where it rises: the
 #: range of the former global scan, outside the minimizer's bracket [2.5, 6.5].
@@ -811,6 +825,46 @@ def test_every_bound_falls_next_to_q_equal_1(kind):
     # the same enclosures prove nothing where S > 0, at q - 1 in [1e3, 1e4]
     rising = mp.iv.mpf([_x_of(1e3).a, _x_of(1e4).b])
     assert not _one_plus_tail_negative(_TAILS[kind], rising)
+
+
+#: x on q - 1 in [1e8, inf), from where _RISES ends up to 1, rounded outward.
+_FAR_X = mp.iv.mpf([_x_of(_RISES[1]).a, 1])
+
+
+def _y_log_q(x, y):
+    """An enclosure of ``y log q = y log((1 + x)^2 / y^2)`` on ``x``, ``y = sqrt(1 - x^2)``.
+
+    Where ``y`` reaches 0 (at ``x = 1``) so does the product, and it rises with
+    ``y`` while ``y < (1 + x)/e``: it lies between 0 and its value at the largest ``y``.
+    """
+    if y.a > 0:
+        return y * _log((1 + x) ** 2 / (y * y))
+    assert y.b < (1 + x.a) / mp.e
+    top = mp.iv.mpf(y.b)
+    return mp.iv.mpf([0, (top * _log((1 + x) ** 2 / (top * top))).b])
+
+
+def _log_q_times_slope_lows(tail_over_y, poles, x):
+    """Per pole box, the lower end of ``log(q) S = (q - 1)/q + y log(q) tail / y`` on ``x``."""
+    y = _sqrt(1 - x * x)
+    return [(2 * x / (1 + x) + _y_log_q(x, y) * tail_over_y(box, x, y)).a for box in poles]
+
+
+@pytest.mark.parametrize(
+    "kind,pole,q_range",
+    [("measure", 0.8, (4, 5)), ("angle", 0.75, (3, 4))],  # p = 0.5, as below
+    ids=["measure", "angle"],
+)
+def test_every_bound_rises_to_q_infinity(kind, pole, q_range):
+    # near x = 1 both terms of S go to 0, the first like 1/log q, so no box up
+    # to x = 1 signs S itself; log(q) S has the first term (q - 1)/q, near 1,
+    # and a tail that goes to 0 with y log q. With _RISES this proves S > 0 on
+    # all of q in [6.5, inf)
+    tail_over_y = _TAILS_OVER_Y[kind]
+    assert min(_log_q_times_slope_lows(tail_over_y, _POLE_BOXES, _FAR_X)) > 0
+    # the same enclosure proves nothing on a q range around the minimum at p = 0.5
+    x = mp.iv.mpf([_x_of(q_range[0] - 1).a, _x_of(q_range[1] - 1).b])
+    assert _log_q_times_slope_lows(tail_over_y, [mp.iv.mpf(pole)], x)[0] <= 0
 
 
 @pytest.mark.parametrize("kind", ["measure", "angle"])

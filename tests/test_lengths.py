@@ -31,7 +31,7 @@ from polebounds.lengths import _G7, _K15, _NODES, _conservative_verdict
 RNG = np.random.default_rng(99)
 
 IDENTITY = TestFunction(
-    id="identity", evaluate=lambda z: z, derivative=lambda z: 1.0, pole=complex(5.0, 5.0)
+    id="identity", evaluate=lambda z: z, derivative=np.ones_like, pole=complex(5.0, 5.0)
 )
 
 
@@ -138,7 +138,7 @@ def test_constant_speed_polyline_is_one_array_call():
 
     def derivative(z):
         shapes.append(np.shape(z))
-        return 1.0
+        return np.ones_like(z)
 
     ident = TestFunction(id="identity", evaluate=lambda z: z, derivative=derivative, pole=5 + 5j)
     verts = tuple(complex(z) for z in 0.9 * rand_disk(11))
