@@ -25,7 +25,6 @@ constants of those modules, so the subcommand fills them in, not the parser.
 from __future__ import annotations
 
 import argparse
-import io
 import math
 import os
 import sys
@@ -72,7 +71,11 @@ def parse_grid(text: str) -> list[float]:
 
 
 def emit(records: list[dict], fmt: str, out) -> None:
-    """Write a list of flat records in the requested format."""
+    """Write a list of flat records, which share one key order, in the requested format.
+
+    A missing value (``None``) is written as ``---`` in text, as an empty cell
+    in CSV and as ``null`` in JSON.
+    """
     if fmt == "json":
         import json
 
@@ -81,25 +84,13 @@ def emit(records: list[dict], fmt: str, out) -> None:
     elif fmt == "csv":
         import csv
 
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        keys = list(records[0].keys())
-        writer.writerow(keys)
-        for rec in records:
-            writer.writerow(["" if rec[k] is None else rec[k] for k in keys])
-        out.write(buf.getvalue())
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(records[0])
+        writer.writerows(rec.values() for rec in records)
     else:
         for rec in records:
-            out.write("  ".join(f"{k}={_fmt_text_value(v)}" for k, v in rec.items()))
+            out.write("  ".join(f"{k}={'---' if v is None else v}" for k, v in rec.items()))
             out.write("\n")
-
-
-def _fmt_text_value(v) -> str:
-    if v is None:
-        return "---"
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
 
 
 def _bound_record(res) -> dict:

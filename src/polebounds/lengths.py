@@ -213,7 +213,8 @@ def _check_polyline(vertices, inside_disk: bool = False) -> tuple[complex, ...]:
     """``vertices`` as a tuple of ``complex``, checked as a polyline's vertices.
 
     In order: at least two, all inside ``D`` if ``inside_disk``, all finite,
-    none equal to the next, and no step between two that overflows.
+    none equal to the next, and no step between two whose square overflows:
+    the pole guard forms ``|step|**2``.
     """
     try:
         verts = tuple(map(complex, vertices))
@@ -239,7 +240,7 @@ def _check_polyline(vertices, inside_disk: bool = False) -> tuple[complex, ...]:
         longest = max(map(abs, steps))  # inf, or OverflowError from abs, once a step overflows
     except OverflowError:
         longest = math.inf
-    if longest == math.inf:
+    if not longest < 2.0**511:  # so that re**2 + im**2 of a step stays below 2**1023
         raise DomainError("polyline vertices are too far apart: a step overflows")
     return verts
 

@@ -1,5 +1,6 @@
 """Bound functions, their minimization over q, and the comparison table."""
 
+import functools
 import math
 import warnings
 
@@ -497,42 +498,6 @@ def test_table_measure_minima_are_certified_by_interval_enclosures():
         mp.iv.dps = dps
 
 
-#: The paper's cells that exceed the outward rounding of their true value, by
-#: this many units of the last place. Each is the bound at some q near q_star,
-#: rounded up: a valid bound, but not the minimum.
-_PAPER_CELL_EXCESS = {(0.6, "angle_min"): 1, (0.5, "angle_min"): 2, (0.4, "measure_min"): 1}
-
-
-def test_paper_table_rounds_each_cell_outward():
-    # 40-digit true values: the closed forms, and each minimum as the bound at
-    # the library's q_star. The nearest is 2.9e-6 from a rounding boundary
-    # (closed_form at p = 0.2), so no error of these values moves a rounding.
-    from test_acceptance import EXPECTED_TABLE
-
-    excess = {}
-    with mp.workdps(40):
-        for p, cells in EXPECTED_TABLE.items():
-            mp_p = mp.mpf(p)
-            true = {
-                "lower": (1 + mp_p) ** 2 * mp.pi / (4 * mp_p),
-                "closed_form": (1 + mp_p**2) / mp_p * (1 + mp.sqrt(2) + 20 / (3 * mp_p)) ** 2
-                * mp.log(2),
-                "measure_min": _mp_measure_bound(mp_p, minimize_over_q(p, "measure").q_star),
-            }
-            if cells[1] is not None:
-                true["angle_min"] = _mp_angle_bound(mp_p, minimize_over_q(p, "angle").q_star)
-            for name, cell in zip(("lower", "angle_min", "closed_form", "measure_min"), cells):
-                if cell is None:
-                    continue
-                x = 1000 * true[name]
-                assert min(x - mp.floor(x), mp.ceil(x) - x) > 1e-3, (p, name)
-                # lower is rounded down, the three upper bounds up
-                outward = mp.floor(x) if name == "lower" else mp.ceil(x)
-                excess[p, name] = round(1000 * cell) - int(outward)
-    assert len(excess) == 40
-    assert {cell: units for cell, units in excess.items() if units} == _PAPER_CELL_EXCESS
-
-
 def test_minimize_rejects_unknown_kind():
     with pytest.raises(DomainError):
         minimize_over_q(0.5, "nonsense")
@@ -779,6 +744,11 @@ def _slope_monotone(tail, sign, poles, x_range, max_boxes):
     return done
 
 
+def _pole_parameter(kind, p):
+    """The pole as its tail takes it: ``a`` for the measure bound, ``k`` for the angle bound."""
+    return 2 * p / (1 + p * p) if kind == "measure" else (1 - p * p) / (2 * p)
+
+
 _TAILS_OVER_Y = {"measure": _iv_measure_tail_over_y, "angle": _iv_angle_tail_over_y}
 _TAILS = {kind: _times_y(tail_over_y) for kind, tail_over_y in _TAILS_OVER_Y.items()}
 
@@ -901,7 +871,117 @@ def test_certified_slope_is_the_derivative_of_log_bound(kind, p, q):
     with mp.workdps(30):
         p, q = mp.mpf(p), mp.mpf(q)
         exact = mp.diff(lambda t: mp.log(bound(p, 1 + mp.exp(t))), mp.log(q - 1))
-    pole = 2 * p / (1 + p * p) if kind == "measure" else (1 - p * p) / (2 * p)
     x = _x_of(q - 1)
-    s = _iv_first_term(x) + _TAILS[kind](mp.iv.mpf(pole), x)
+    s = _iv_first_term(x) + _TAILS[kind](mp.iv.mpf(_pole_parameter(kind, p)), x)
     assert abs(s.mid - exact) <= 1e-12 * (1 + abs(exact))
+
+
+# ------------------------------------------------------ the paper's table, certified
+
+
+def _iv_angle_bound(p, q):
+    # theta = atan(s), s = (1 - k) x / (1 + k x^2), as in the certificate above
+    iv = mp.iv
+    p, q = iv.mpf(p), iv.mpf(q)
+    k, x = (1 - p * p) / (2 * p), (q - 1) / (q + 1)
+    theta = iv.atan2((1 - k) * x / (1 + k * x * x), 1)
+    return (1 + p * p) * iv.log(q) / (2 * p) * iv.cot(theta / 4) ** 2
+
+
+_IV_BOUNDS = {"measure": _iv_measure_bound, "angle": _iv_angle_bound}
+
+
+def _iv_minimum(kind, p, pole):
+    """An enclosure of the least bound over all q > 1 at the decimal ``pole``, near ``p``.
+
+    The upper end is the bound at the library's ``q_star``. Around it, on
+    ``[q_lo, q_hi]`` inside the bracket [2.5, 6.5], ``S`` is certified ``< 0``
+    at ``q_lo`` and ``> 0`` at ``q_hi``. The certificate above makes ``S``
+    negative below the bracket, rising across it and positive above it, so the
+    minimum over all q > 1 lies in ``[q_lo, q_hi]``: the lower end is the
+    least bound there.
+    """
+    q_star = minimize_over_q(p, kind).q_star
+    q_lo, q_hi = q_star * (1 - 1e-12), q_star * (1 + 1e-12)  # q_star is good to 1e-14
+    assert 2.5 <= q_lo < q_hi <= 6.5
+    for q, sign in ((q_lo, -1), (q_hi, 1)):
+        x = 1 - 2 / (1 + mp.iv.mpf(q))
+        s = _iv_first_term(x) + _TAILS[kind](_pole_parameter(kind, pole), x)
+        assert (s.a > 0) if sign > 0 else (s.b < 0), (kind, p, q)
+    bound = _IV_BOUNDS[kind]
+    return mp.iv.mpf([bound(pole, [q_lo, q_hi]).a, bound(pole, q_star).b])
+
+
+@functools.cache
+def _paper_table_enclosures():
+    """``(p, cell name) -> mpmath.iv`` enclosure of the true value, at the paper's decimal p."""
+    from test_acceptance import EXPECTED_TABLE
+
+    iv = mp.iv
+    dps = iv.dps
+    iv.dps = 30
+    try:
+        enclosures = {}
+        for p, cells in EXPECTED_TABLE.items():
+            pole = iv.mpf(repr(p))
+            enclosures[p, "lower"] = (1 + pole) ** 2 * iv.pi / (4 * pole)
+            enclosures[p, "closed_form"] = (
+                (1 + pole**2) / pole * (1 + iv.sqrt(2) + 20 / (3 * pole)) ** 2 * iv.log(2)
+            )
+            enclosures[p, "measure_min"] = _iv_minimum("measure", p, pole)
+            if cells[1] is not None:
+                enclosures[p, "angle_min"] = _iv_minimum("angle", p, pole)
+    finally:
+        iv.dps = dps
+    return enclosures
+
+
+def _outward_excess(table):
+    """``(p, cell name) -> units of 1e-3`` by which each cell exceeds its outward rounding.
+
+    The whole enclosure of the true value is rounded: ``lower`` down, the three
+    upper bounds up. An enclosure that straddles a rounding boundary fails.
+    """
+    excess = {}
+    for p, cells in table.items():
+        for name, cell in zip(("lower", "angle_min", "closed_form", "measure_min"), cells):
+            if cell is None:
+                continue
+            enclosure = _paper_table_enclosures()[p, name]
+            rounded = mp.floor if name == "lower" else mp.ceil
+            ends = {int(rounded(1000 * mp.mpf(end))) for end in (enclosure.a, enclosure.b)}
+            assert len(ends) == 1, (p, name, enclosure)
+            excess[p, name] = round(1000 * cell) - ends.pop()
+    return excess
+
+
+#: The paper's cells that exceed the outward rounding of their true value, by
+#: this many units of the last place. Each is the bound at some q near q_star,
+#: rounded up: a valid bound, but not the minimum.
+_PAPER_CELL_EXCESS = {(0.6, "angle_min"): 1, (0.5, "angle_min"): 2, (0.4, "measure_min"): 1}
+
+
+def test_paper_table_rounds_each_cell_outward():
+    # every true value in an mpmath.iv enclosure at most 4e-8 wide: the closed
+    # forms directly, each minimum over all q > 1 by _iv_minimum; the nearest
+    # rounding boundary is 2.9e-6 away (closed_form at p = 0.2)
+    from test_acceptance import EXPECTED_TABLE
+
+    excess = _outward_excess(EXPECTED_TABLE)
+    assert len(excess) == 40
+    assert {cell: units for cell, units in excess.items() if units} == _PAPER_CELL_EXCESS
+
+
+@pytest.mark.parametrize("units", [-1, 1])
+def test_paper_table_check_fails_on_a_cell_moved_by_one_unit(units):
+    # control: the check above rejects each of the 40 cells moved by one unit
+    from test_acceptance import EXPECTED_TABLE
+
+    for p, cells in EXPECTED_TABLE.items():
+        for j, cell in enumerate(cells):
+            if cell is None:
+                continue
+            moved = list(cells)
+            moved[j] = round(cell + units / 1000, 3)
+            excess = _outward_excess({**EXPECTED_TABLE, p: tuple(moved)})
+            assert {c: u for c, u in excess.items() if u} != _PAPER_CELL_EXCESS, (p, j)

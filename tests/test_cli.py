@@ -335,6 +335,64 @@ def test_verify_and_arc_json_are_pinned(command, family, arg, capsys):
     assert capsys.readouterr().err == ""
 
 
+# --------------------------------------------------------- text and csv pins
+
+_INSIDE = str(INSTANCES / "inside_branch.txt")
+
+#: Text and CSV bytes of one invocation per record shape: a missing value
+#: (``---`` in text, an empty CSV cell), booleans, several rows, and the
+#: harmonic record with the sandwich keys or with the walk keys.
+PINNED_TEXT_CSV = [
+    (["table", "--p", "0.3", "0.5", "--format", "csv"],
+     "p,lower,angle_min,closed_form,measure_min\n"
+     "0.3,4.424,,1528.574,310.576\n"
+     "0.5,3.534,1984.429,429.726,124.383\n"),
+    (["table", "--p", "0.3", "0.5", "--format", "text"],
+     "     p     lower   angle_min closed_form measure_min\n"
+     "   0.3     4.424         ---    1528.574     310.576\n"
+     "   0.5     3.534    1984.429     429.726     124.383\n"),
+    (["bounds", "--p", "0.5", "--kind", "lb", "--format", "csv"],
+     "p,kind,value,q_star,evaluations,bracket_lo,bracket_hi\n"
+     "0.5,lower,3.5342917352885173,,0,,\n"),
+    (["bounds", "--p", "0.5", "--kind", "measure", "--format", "text"],
+     "p=0.5  kind=measure  value=124.38291845348793  q_star=4.741121240615474  "
+     "evaluations=53  bracket_lo=4.741121240615473  bracket_hi=4.741121240615474\n"),
+    (["verify", "--family", "koebe", "--grid", "0.3:0.5:0.2", "--format", "csv"],
+     "family,p,length_i1,length_tminus,ratio,bound,passed\n"
+     "koebe,0.3,0.8646585285109523,0.1954291297975137,4.4244096538056255,"
+     "310.5761529406248,True\n"
+     "koebe,0.5,1.2566370614359175,0.3555555555555555,3.534291735288518,"
+     "124.38291845348793,True\n"),
+    (["arc", "--file", _INSIDE, "--family", "mobius", "--format", "csv"],
+     "family,pole_re,pole_im,branch,constant,tau,length_geodesic,length_arc,ratio,passed\n"
+     "mobius,0.2,0.0,inside_hull,775.2749731645442,0.20000000000000004,"
+     "11.902899496825315,4.211401675981149,2.8263510376393257,True\n"),
+    (["arc", "--file", _INSIDE, "--family", "mobius", "--format", "text"],
+     "family=mobius  pole_re=0.2  pole_im=0.0  branch=inside_hull  "
+     "constant=775.2749731645442  tau=0.20000000000000004  "
+     "length_geodesic=11.902899496825315  length_arc=4.211401675981149  "
+     "ratio=2.8263510376393257  passed=True\n"),
+    (["harmonic", "--z", "0,2", "--a", "1", "--b", "4", "--p", "0.5", "--format", "csv"],
+     "z_re,z_im,a,b,p,value,sandwich_lo,sandwich_hi\n"
+     "0.0,2.0,1.0,4.0,0.5,0.18716704181099886,0.1490197886876318,0.5\n"),
+    (["harmonic", "--z", "0.3,2", "--a", "1", "--b", "4", "--p", "0.5", "--wos", "300",
+      "--format", "csv"],
+     "z_re,z_im,a,b,p,value,wos_mean,wos_stderr,wos_used,wos_capped\n"
+     "0.3,2.0,1.0,4.0,0.5,0.21962802782261506,0.18666666666666668,0.0224960901952778,"
+     "300,0\n"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, expect", PINNED_TEXT_CSV,
+    ids=["table-csv", "table-text", "bounds-lb-csv", "bounds-measure-text", "verify-csv",
+         "arc-csv", "arc-text", "harmonic-sandwich-csv", "harmonic-wos-csv"],
+)
+def test_text_and_csv_are_pinned(argv, expect, capsys):
+    assert run(argv) == (0, expect)
+    assert capsys.readouterr().err == ""
+
+
 # ------------------------------------------------------- options and defaults
 
 

@@ -280,14 +280,24 @@ def test_a_bad_vertex_raises_domain_error(call):
         lambda: polyline_image_length(mobius_family(0.5), [-1.7e308, 1.7e308]),
         lambda: segment_curve(-1.7e308, 1.7e308),
         lambda: polyline_image_length(mobius_family(0.5), [0j, complex(1.5e308, 1.5e308)]),
+        lambda: polyline_image_length(mobius_family(0.5), [0j, 2e154]),
+        lambda: polyline_image_length(mobius_family(0.5), [1e300, complex(1e300, 1e299)]),
     ],
-    ids=["image-length", "segment", "length"],
+    ids=["image-length", "segment", "length", "squared-step", "squared-step-far"],
 )
 def test_a_step_that_overflows_raises_domain_error(call):
     # these warned of overflow, then passed "within nan" of the pole, made a
-    # curve of infinite speed, or raised OverflowError
+    # curve of infinite speed, or raised OverflowError. A step whose square
+    # overflows snapped every foot of the pole guard to the segment's start:
+    # [0, 2e154] passes through the pole yet returned (0.0, 0.0), and the far
+    # step ran to the panel cap and raised QuadratureError.
     with pytest.raises(DomainError, match="a step overflows"):
         call()
+
+
+def test_a_step_just_below_the_squared_step_rule_reaches_the_pole_guard():
+    with pytest.raises(PoleProximityError, match="within 0"):
+        polyline_image_length(mobius_family(0.5), [0j, 6e153])
 
 
 def test_polyline_labels_name_the_curves():
