@@ -23,6 +23,7 @@ never loads this module.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .conformal import (
@@ -148,10 +149,37 @@ class WosEstimate:
 
 
 def _wos_jump(rng, dist):
-    """Per walk, in order, its next normal pair ``g`` times ``dist / |g|`` (nan if ``g = 0``)."""
-    step = rng.standard_normal(2 * dist.size).view(complex)
-    step *= dist / abs(step)
+    """Per walk, in order, ``dist * e^{2i theta}`` with ``theta = pi (u - 1/2)``, ``u`` uniform.
+
+    With ``v = tan(theta)`` the step is ``dist * ((1 - v^2) + 2iv) / (1 + v^2)``.
+    The unit vector is formed before ``dist`` scales it, so no tiny ``dist``
+    underflows; ``1 + v^2 >= 1``, and ``|v| <= 1.7e16`` at both ends of [0, 1).
+    Four doubles per walk: ``v``, ``v^2`` and the complex step.
+    """
+    import numpy as np
+
+    v = rng.random(dist.size)
+    v -= 0.5
+    v *= math.pi
+    np.tan(v, out=v)
+    t = v * v
+    step = np.empty(dist.size, dtype=np.complex128)
+    re = step.real
+    np.subtract(1.0, t, out=re)
+    t += 1.0
+    re /= t
+    re *= dist
+    v += v
+    v /= t
+    np.multiply(v, dist, out=step.imag)
     return step
+
+
+def _check_index(value, name: str) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
 
 
 def wos_harmonic_measure(
@@ -170,22 +198,25 @@ def wos_harmonic_measure(
     sees the full half-plane, and any ``a < b`` is allowed (useful for
     validating against :func:`hm_halfplane`). Each step jumps to a uniform
     point on the largest inscribed circle at the current position, of radius
-    ``dist``: a standard normal pair ``g`` times ``dist / |g|``. Its direction
-    is uniform (Muller 1959) and needs no trigonometry. A walk is
+    ``dist``: one uniform ``u`` gives ``v = tan(pi (u - 1/2))`` and the step
+    ``dist * ((1 - v^2) + 2iv) / (1 + v^2) = dist * e^{2i theta}``, whose angle
+    ``2 theta`` is uniform on [-pi, pi); no draw makes a step nan. A walk is
     absorbed once within ``eps`` of the boundary and scores 1 when its nearest
     boundary point lies in ``[a, b]`` on the real axis, or as a miss once a
-    step overflows or its pair is zero (probability 0 in exact arithmetic;
-    the step is then nan); ``eps`` must be positive and below the start's
-    distance to the boundary, and ``n_walks`` in [1, WOS_MAX_WALKS].
+    step overflows; ``eps`` must be positive and below the start's distance
+    to the boundary, ``n_walks`` an integer in [1, WOS_MAX_WALKS] and ``seed``
+    a non-negative integer.
     Walks exceeding the step cap are discarded and reported in ``n_capped``.
 
     All walks advance in lockstep on a single seeded generator, each live
-    walk taking the next pair in order, so a given ``(inputs, seed)`` pair
+    walk taking the next uniform in order, so a given ``(inputs, seed)`` pair
     always reproduces the same estimate.
     """
     import numpy as np
 
     zz = as_complex(z)
+    n_walks = _check_index(n_walks, "n_walks")
+    seed = _check_index(seed, "seed")
     if n_walks < 1:
         raise DomainError("n_walks must be at least 1")
     if n_walks > WOS_MAX_WALKS:
@@ -211,10 +242,10 @@ def wos_harmonic_measure(
             f"eps={eps!r} must be below the start's distance {start!r} to the boundary"
         )
 
-    # an overflowing walk, or one whose direction pair is zero, is a miss
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    # an overflowing walk is a miss
+    with np.errstate(over="ignore", invalid="ignore"):
         # pts holds the live walks only, in their original order, so each draws
-        # the same normal pair as it would in a walk-indexed array
+        # the same uniform as it would in a walk-indexed array
         rng = np.random.default_rng(seed)
         pts = np.full(n_walks, complex(zz), dtype=np.complex128)
         hits = capped = 0
@@ -224,7 +255,7 @@ def wos_harmonic_measure(
                 break
             gap = _omega1_gap(pts, disk)
             dist = np.minimum(pts.imag, gap)
-            absorb = ~(dist >= eps)  # a nan walk overflowed or drew (0, 0): absorbed, scores 0
+            absorb = ~(dist >= eps)  # a nan walk overflowed: absorbed, scores 0
             if absorb.any():
                 zdone = pts[absorb]
                 nearest_on_axis = zdone.imag <= gap[absorb]

@@ -1,6 +1,7 @@
 """Exact harmonic measure, the cotangent bound, the Monte Carlo oracle."""
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -258,14 +259,14 @@ def test_wos_reproducible_for_fixed_seed():
 
 def test_wos_point_disk_and_omega1_estimates_are_pinned():
     # p = 1 runs the Omega1 walk with the excluded disk shrunk to the point -1;
-    # each step's direction is a normalized standard normal pair (exact 0.62567
-    # and 0.18717)
+    # the seed fixes each step's uniform u, whose direction is 2 pi (u - 1/2)
+    # through the tangent half-angle map (exact 0.62567 and 0.18717)
     assert wos_harmonic_measure(0.5 + 1j, -1.0, 2.0, p=1.0, n_walks=2000, seed=11) == (
-        WosEstimate(mean=0.6285, stderr=0.010804807957571482, n_walks=2000, n_used=2000,
+        WosEstimate(mean=0.6375, stderr=0.010749273231246846, n_walks=2000, n_used=2000,
                     n_capped=0)
     )
     assert wos_harmonic_measure(2j, 1.0, 4.0, p=0.5, n_walks=2000, seed=5) == WosEstimate(
-        mean=0.187, stderr=0.00871868682772813, n_walks=2000, n_used=2000, n_capped=0
+        mean=0.1745, stderr=0.008486747021091178, n_walks=2000, n_used=2000, n_capped=0
     )
 
 
@@ -304,15 +305,21 @@ def test_wos_jump_lands_on_its_circle_at_a_uniform_angle():
     assert ks < 1.9495 / math.sqrt(n)
 
 
-def test_wos_zero_pair_is_absorbed_as_a_miss(monkeypatch):
-    # probability 0 in exact arithmetic; the step's dist / 0 must not warn
-    class ZeroPairs:
-        def standard_normal(self, size):
-            return np.zeros(size)
+@pytest.mark.parametrize("u", [0.0, 1.0 - 2.0**-53])
+def test_wos_jump_at_the_ends_of_the_uniform_range_is_finite(u):
+    # tan(pi (u - 1/2)) is -1.6e16 and 2.0e15 there, so v^2 reaches 2.7e32; the
+    # unit vector is formed before dist scales it, so even dist = 1e-300 keeps
+    # its length, and nothing overflows, underflows to 0 or warns
+    class Ends:
+        def random(self, size):
+            return np.full(size, u)
 
-    monkeypatch.setattr(np.random, "default_rng", lambda seed: ZeroPairs())
-    est = wos_harmonic_measure(2j, 1.0, 4.0, p=0.5, n_walks=3)
-    assert (est.mean, est.n_used, est.n_capped) == (0.0, 3, 0)
+    dist = np.array([1e-300, 1e-6, 1.0, 1e300])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        step = _wos_jump(Ends(), dist)
+    assert np.all(np.isfinite(step))
+    assert np.all(np.abs(np.abs(step) - dist) <= 4.0 * np.spacing(dist))
 
 
 def _walk_indexed_wos(z, a, b, center, radius, n_walks, eps, seed):
@@ -330,8 +337,10 @@ def _walk_indexed_wos(z, a, b, center, radius, n_walks, eps, seed):
         hit[done] = (pts[done].imag <= np.abs(pts[done] + center) - radius) & (x >= a) & (x <= b)
         active, dist = active[~absorb], dist[~absorb]
         if active.size:
-            step = rng.standard_normal(2 * active.size).view(np.complex128)
-            pts[active] += step * (dist / np.abs(step))
+            # dist * e^{2i theta}, theta = pi (u - 1/2), through v = tan(theta)
+            v = np.tan((rng.random(active.size) - 0.5) * math.pi)
+            t = v * v
+            pts[active] += (1.0 - t) / (1.0 + t) * dist + 1j * ((v + v) / (1.0 + t) * dist)
     return int(hit.sum())
 
 
@@ -346,6 +355,33 @@ def test_wos_matches_walk_indexed_reference(seed):
     est = wos_harmonic_measure(z, a, b, p, n_walks=400, seed=seed)
     hits = _walk_indexed_wos(z, a, b, disk.center, disk.radius, 400, 1e-6, seed)
     assert est.n_capped == 0 and est.mean == hits / 400
+
+
+def test_wos_draws_one_uniform_per_live_walk_per_step(monkeypatch):
+    # the reference draws rng.random(number of live walks) at each step; a
+    # generator with no other method would raise on any other draw
+    class Counting:
+        def __init__(self, seed):
+            self.rng, self.sizes = default_rng(seed), []
+
+        def random(self, size):
+            self.sizes.append(size)
+            return self.rng.random(size)
+
+    default_rng, made = np.random.default_rng, []
+
+    def counting_rng(seed):
+        made.append(Counting(seed))
+        return made[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", counting_rng)
+    disk = ExcludedDisk.from_pole(0.5)
+    est = wos_harmonic_measure(2j, 1.0, 4.0, 0.5, n_walks=300, seed=8)
+    hits = _walk_indexed_wos(2j, 1.0, 4.0, disk.center, disk.radius, 300, 1e-6, 8)
+    lockstep, reference = made
+    assert est.mean == hits / 300
+    assert lockstep.sizes == reference.sizes
+    assert lockstep.sizes[0] == 300 and len(lockstep.sizes) > 10
 
 
 def test_wos_rejects_negative_seed():
@@ -366,6 +402,12 @@ def test_wos_input_validation():
         wos_harmonic_measure(1j, 2.0, 1.0, 0.5, n_walks=10)
     with pytest.raises(DomainError, match="z must lie in the open upper half-plane"):
         wos_harmonic_measure(-1j, 0.0, 1.0, 1.0, n_walks=10)
+    # numpy raised a bare TypeError for a non-integer count or seed
+    with pytest.raises(DomainError, match="n_walks must be an integer"):
+        wos_harmonic_measure(2j, 1.0, 4.0, p=0.5, n_walks=2.5)
+    for seed in (1.5, -0.5):
+        with pytest.raises(DomainError, match="seed must be an integer"):
+            wos_harmonic_measure(2j, 1.0, 4.0, p=0.5, n_walks=10, seed=seed)
 
 
 def test_wos_rejects_more_walks_than_the_cap():
