@@ -170,6 +170,8 @@ def enclosed_axis_segment(arc: PolylineArc) -> tuple[float, float]:
 
     # The segments at the endpoints meet the axis only there. Vertices precede
     # crossings, so a tie of 0.0 and -0.0 goes to the vertex in any segment order.
+    # Both products below take real parts of off-axis vertices (no two on-axis
+    # vertices are adjacent), each above GEOMETRY_TOL: neither underflows to 0.
     ys, crossings = [z1.imag], []
     for u, v, w, on_v, on_w in zip(verts, verts[1:], verts[2:], on[1:], on[2:]):
         if on_v:

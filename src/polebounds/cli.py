@@ -29,7 +29,7 @@ import math
 import os
 import sys
 
-from .errors import PoleBoundsError
+from .errors import DomainError, PoleBoundsError
 
 FORMAT_ENV_VAR = "POLEBOUNDS_FORMAT"
 FORMATS = ("text", "json", "csv")
@@ -220,8 +220,13 @@ def cmd_harmonic(args, out) -> int:
         "value": value,
     }
     if z.real == 0.0 and args.a <= z.imag <= args.b:
-        rec["sandwich_lo"] = harmonic.arccot(harmonic.measure_cot_bound(args.p, args.b / args.a)) / math.pi
-        rec["sandwich_hi"] = 0.5
+        try:
+            cot = harmonic.measure_cot_bound(args.p, args.b / args.a)
+        except DomainError:  # the bound overflows a double: the record of an off-segment z
+            pass
+        else:
+            rec["sandwich_lo"] = harmonic.arccot(cot) / math.pi
+            rec["sandwich_hi"] = 0.5
     if args.wos:
         eps = harmonic.DEFAULT_WOS_EPS if args.eps is None else args.eps
         seed = harmonic.DEFAULT_SEED if args.seed is None else args.seed

@@ -35,8 +35,16 @@ class ExcludedDisk:
         return cls(p, (1.0 + p * p) / (2.0 * p), (1.0 - p * p) / (2.0 * p))
 
     def boundary_gap(self, z: complex) -> float:
-        """Signed distance to the boundary circle (positive outside)."""
-        return abs(as_complex(z) - self.center) - self.radius
+        """Signed distance to the boundary circle (positive outside).
+
+        ``|z - c| - r`` is written ``(|z - c|^2 - r^2) / (|z - c| + r)``: with
+        ``c^2 - r^2 = 1`` and ``2c = p + 1/p`` the numerator is
+        ``(x - p)(x - 1/p) + y^2``, which does not cancel when ``c`` and ``r``
+        are both about ``1/(2p)``, and is exactly 0 at ``z = p``.
+        """
+        zz = as_complex(z)
+        x, y = zz.real, zz.imag
+        return ((x - self.p) * (x - 1.0 / self.p) + y * y) / (abs(zz - self.center) + self.radius)
 
 
 def _omega1_gap(z, disk: ExcludedDisk):

@@ -15,9 +15,9 @@ grading). A piece far from the pole stays one panel. ``T-`` keeps an edge at
 ``z = -1``, where the Koebe-type derivative vanishes and ``|f'|`` has a kink.
 The graded edges are snapped to a dyadic grid, so every panel's midpoint and
 half-width, and those of its first quarters, are exact and the panels tile
-their curve without gaps or overlaps; each polyline segment has its own
-parameter interval [0, 1], so nodes near a pole stay as precise as their
-panel is narrow. Most lengths are then resolved in the first round; a panel
+their curve without gaps or overlaps; every piece has its own parameter
+interval [0, 1], so nodes near a pole stay as precise as their panel is
+narrow. Most lengths are then resolved in the first round; a panel
 whose error is still above its share of the tolerance is replaced by its
 four equal quarters.
 
@@ -145,10 +145,9 @@ _GRADES = 64
 _POWERS = _RATIO ** np.arange(_GRADES + 1)
 _OFFSETS = np.concatenate((-_POWERS[::-1], [0.0], _POWERS))
 
-#: Graded edges are snapped to multiples of ``1/_GRID`` above their piece's
-#: start. On pieces within [-1, 1] (all but the halves of ``T-``), panel
-#: midpoints and half-widths are then exact for six levels of quarters, so
-#: the panels tile their curve.
+#: Graded edges are snapped to multiples of ``1/_GRID``. Every piece runs on
+#: [0, 1], so panel midpoints and half-widths are then exact for six levels
+#: of quarters, and the panels tile their curve.
 _GRID = 2.0**40
 
 #: A panel is one row ``(mid, half, scale, share, piece)``: the midpoint and
@@ -170,25 +169,21 @@ for _col in (1, 2, 3):
     _TO_PARTS[_col, _col::_COLUMNS] = 1.0 / _SPLIT
 _TO_PARTS[4, 4::_COLUMNS] = 1.0
 
-#: Rows of ``Curve.pieces``.
-_START, _END, _SPEED = range(3)
-
 
 @dataclass(frozen=True)
 class Curve:
     """A parametrized path ``t -> g(t)`` in pieces, with exact nearest points: one length.
 
-    ``point(t, piece)`` evaluates an array of parameters, each row of ``t``
-    inside the piece of that index. ``pieces`` has one column per piece and
-    three rows: its start and end parameter and its constant speed
-    ``|g'(t)|``. ``pieces`` is read-only: the built-in curves are shared, so
-    a write would change every later length. ``nearest(w)`` returns, per
-    piece, the parameter of the piece's point nearest ``w`` and the distance
-    between the two.
+    Every piece runs on ``t`` in [0, 1]. ``point(t, piece)`` evaluates an
+    array of parameters, each row of ``t`` on the piece of that index.
+    ``speeds`` holds each piece's constant speed ``|g'(t)|``; it is
+    read-only: the built-in curves are shared, so a write would change every
+    later length. ``nearest(w)`` returns, per piece, the parameter of the
+    piece's point nearest ``w`` and the distance between the two.
     """
 
     point: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    pieces: np.ndarray
+    speeds: np.ndarray
     label: str
     nearest: Callable[[complex], tuple]
 
@@ -253,15 +248,12 @@ def _polyline_curve(vertices, label: str = "polyline") -> Curve:
     """
     verts = np.array(_check_polyline(vertices), dtype=complex)
     starts, steps = verts[:-1], verts[1:] - verts[:-1]
-    pieces = np.empty((3, len(steps)))
-    pieces[_START] = 0.0
-    pieces[_END] = 1.0
-    np.abs(steps, out=pieces[_SPEED])
-    pieces.flags.writeable = False
+    speeds = np.abs(steps)
+    speeds.flags.writeable = False
     start_col, step_col = starts[:, None], steps[:, None]
     return Curve(
         point=lambda t, piece: start_col[piece] + t * step_col[piece],
-        pieces=pieces,
+        speeds=speeds,
         label=label,
         nearest=lambda w: _segment_feet(starts, steps, w),
     )
@@ -280,32 +272,33 @@ def vertical_diameter() -> Curve:
     return _I1
 
 
-#: ``T-`` in two pieces, split at ``z = -1``.
-_T_LO, _T_MID, _T_HI = math.pi / 2.0, math.pi, 3.0 * math.pi / 2.0
+#: ``T-`` in two pieces, split at ``z = -1``: ``theta = (k + 1 + t) pi/2`` on piece ``k``.
+_QUARTER = math.pi / 2.0
 
 
 def _t_minus_nearest(w: complex) -> tuple:
-    # |e^{it} - w| grows with the angle between e^{it} and w, so arg w clamped
-    # to a piece is its nearest point (an endpoint when Re w >= 0), except on a
-    # piece in the quadrant opposite w: that piece is at least 1 away.
-    theta = math.atan2(w.imag, w.real) % (2.0 * math.pi)
-    t = (min(max(theta, _T_LO), _T_MID), min(max(theta, _T_MID), _T_HI))
-    return t, (abs(cmath.exp(1j * t[0]) - w), abs(cmath.exp(1j * t[1]) - w))
+    # |e^{i theta} - w| grows with the angle between e^{i theta} and w, so arg
+    # w clamped to a piece is its nearest point (an endpoint when Re w >= 0),
+    # except on a piece in the quadrant opposite w: that piece is at least 1 away.
+    quarters = math.atan2(w.imag, w.real) % (2.0 * math.pi) / _QUARTER
+    t = [min(max(quarters - k, 0.0), 1.0) for k in (1.0, 2.0)]
+    return t, [abs(cmath.exp(1j * ((k + tk) * _QUARTER)) - w) for k, tk in zip((1.0, 2.0), t)]
 
 
 _T_MINUS = Curve(
-    point=lambda t, piece: np.exp(1j * t),
-    pieces=np.array([[_T_LO, _T_MID], [_T_MID, _T_HI], [1.0, 1.0]]),
+    point=lambda t, piece: np.exp(1j * ((piece[:, None] + 1.0 + t) * _QUARTER)),
+    speeds=np.full(2, _QUARTER),
     label="T-",
     nearest=_t_minus_nearest,
 )
-_T_MINUS.pieces.flags.writeable = False
+_T_MINUS.speeds.flags.writeable = False
 
 
 def left_half_circle() -> Curve:
-    """The left half of the unit circle, ``theta -> e^{i theta}`` on [pi/2, 3pi/2].
+    """The left half of the unit circle, ``e^{i theta}`` for ``theta`` in [pi/2, 3pi/2].
 
-    Its two pieces meet at ``z = -1``.
+    Its two pieces meet at ``z = -1``: ``theta = (k + 1 + t) pi/2`` on piece
+    ``k``, ``t`` in [0, 1].
     """
     return _T_MINUS
 
@@ -369,38 +362,34 @@ def _first_panels(curves: tuple[Curve, ...], pole: complex, tol: float):
     Returns the rows, grouped by curve in order, and the number of rows of
     each curve.
     """
-    # per piece of every curve: the rows of Curve.pieces, share, foot, distance, index
-    table = np.empty((7, sum(c.pieces.shape[1] for c in curves)))
+    # per piece of every curve: speed, share, foot, distance, index
+    table = np.empty((5, sum(len(c.speeds) for c in curves)))
     firsts, start = [], 0
     for curve in curves:
-        stop = start + curve.pieces.shape[1]
-        table[:3, start:stop] = curve.pieces
+        stop = start + len(curve.speeds)
+        table[0, start:stop] = curve.speeds
         # the curve's tolerance, shared in proportion to parameter width
-        table[3, start:stop] = 2.0 / (curve.pieces[_END] - curve.pieces[_START]).sum()
-        table[4:6, start:stop] = curve.nearest(pole)
-        table[6, start:stop] = np.arange(stop - start)
-        gap = table[5, start:stop].min()
+        table[1, start:stop] = 2.0 / len(curve.speeds)
+        table[2:4, start:stop] = curve.nearest(pole)
+        table[4, start:stop] = np.arange(stop - start)
+        gap = table[3, start:stop].min()
         if not gap >= POLE_GUARD_DISTANCE:
             raise PoleProximityError(
                 f"curve {curve.label!r} passes within {gap:.3g} of the pole {pole}"
             )
         firsts.append(start)
         start = stop
-    lo, hi, speed, share, foot, dist, piece = table
-    span = hi - lo
-    first = np.minimum(dist * _FIRST / np.maximum(speed, _TINY), span)
-    reach = span / first  # 1 for a piece within its first edge: it stays one panel
+    speed, share, foot, dist, piece = table
+    first = np.minimum(dist * _FIRST / np.maximum(speed, _TINY), 1.0)
+    reach = 1.0 / first  # 1 for a piece within its first edge: it stays one panel
     n = min(math.ceil(math.log(reach.max()) / math.log(_RATIO)), _GRADES)
-    np.copyto(foot, lo, where=reach <= 1.0)
-    foot -= lo
-    lo, hi = lo[:, None], hi[:, None]
+    np.copyto(foot, 0.0, where=reach <= 1.0)
     edges = first[:, None] * _OFFSETS[_GRADES - n : _GRADES + n + 3]
     edges += foot[:, None]
     edges *= _GRID
     np.rint(edges, out=edges)
     edges /= _GRID
-    edges += lo
-    np.minimum(np.maximum(edges, lo, out=edges), hi, out=edges)
+    np.clip(edges, 0.0, 1.0, out=edges)
     half = edges[:, 1:] - edges[:, :-1]
     half *= 0.5
     rows = np.empty(half.shape + (_COLUMNS,))

@@ -131,6 +131,22 @@ def test_excluded_disk_invariants():
         assert d.center > d.radius  # disjoint from the closed left half-disk
 
 
+@pytest.mark.parametrize("p", [1e-9, 1e-7])
+def test_boundary_gap_matches_mpmath_at_small_p(p):
+    # |z - c| - r cancelled, with c and r both about 1/(2p): the gap of 0.5i
+    # read 0.0 at p = 1e-9, so in_omega called it a boundary point, and it
+    # was 1.6e-3 off, relative, at p = 1e-7
+    d = ExcludedDisk.from_pole(p)
+    with mpmath.workdps(60):  # the reference cancels 18 digits at p = 1e-9
+        P = mpmath.mpf(p)
+        center, radius = (1 + P * P) / (2 * P), (1 - P * P) / (2 * P)
+        for z in (0.5j, 0.3 + 0.4j, -0.9 + 0j, complex(2 * p, p), complex(p, 0.0)):
+            exact = abs(mpmath.mpc(z) - center) - radius
+            assert abs(d.boundary_gap(z) - exact) <= 4e-16 * abs(exact), z
+    assert in_omega(0.5j, p)
+    assert not in_omega(complex(p, 0.0), p)
+
+
 # ------------------------------------------------------------------ membership
 
 

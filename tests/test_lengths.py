@@ -407,13 +407,15 @@ def test_mobius_lengths_match_mpmath_circular_arcs(pole):
 
 
 def test_koebe_t_minus_keeps_an_edge_at_minus_one():
-    # koebe's f' vanishes at z = -1, so |f'| has a kink at t = pi: no first
-    # panel may straddle it, or the error estimate misses the kink
+    # koebe's f' vanishes at z = -1, so |f'| has a kink there, at t = 1 on
+    # piece 0 and t = 0 on piece 1: no first panel may straddle it, or the
+    # error estimate misses the kink
     panels, counts = lengths._first_panels((left_half_circle(),), 0.033 + 0j, 1e-9)
     left, right = panels[:, 0] - panels[:, 1], panels[:, 0] + panels[:, 1]
+    piece = panels[:, 4]
     assert counts == [len(panels)]
-    assert np.all((right <= math.pi + 1e-15) | (left >= math.pi - 1e-15))
-    assert np.any(np.abs(right - math.pi) <= 1e-15)
+    assert np.all((left >= 0.0) & (right <= 1.0))
+    assert np.any(right[piece == 0] == 1.0) and np.any(left[piece == 1] == 0.0)
     with mp.workdps(40):
         P = mp.mpf(0.033)
         exact = 2 * P / (1 + P * P) - 2 * P / (1 + P) ** 2
@@ -457,23 +459,29 @@ def test_polyline_lengths_match_mpmath_circular_arcs():
                 checked += 1
 
 
-@pytest.mark.parametrize("pole", [0.3 - 0.2j, -0.05 + 0.1j, 0.001 + 0.6j])
+@pytest.mark.parametrize(
+    "pole", [0.3 - 0.2j, -0.05 + 0.1j, 0.001 + 0.6j, 0.033, 0.5, 0.9, 0.999, -0.9 + 0.01j]
+)
 def test_first_panels_tile_each_piece_exactly(pole):
-    # graded edges are snapped to a dyadic grid, so every panel's ends are
+    # every piece runs on [0, 1] and graded edges are snapped to a dyadic grid,
+    # so every panel's ends, and those of its quarters four levels down, are
     # exact and meet its neighbours' ends: no gap or overlap near the pole
     polyline = lengths._polyline_curve(_star_polyline(np.random.default_rng(7), 40))
-    curves = (vertical_diameter(), polyline)
+    curves = (vertical_diameter(), left_half_circle(), polyline)
     panels, counts = lengths._first_panels(curves, pole, 1e-12)
-    assert len(counts) == 2 and sum(counts) == len(panels) > 39 + 1
-    left, right = panels[:, 0] - panels[:, 1], panels[:, 0] + panels[:, 1]
-    first = 0
-    for curve, count in zip(curves, counts):
-        rows = slice(first, first + count)
-        for k, (start, end) in enumerate(curve.pieces[:2].T):
-            piece = np.flatnonzero(panels[rows, 4] == k) + first
-            assert left[piece[0]] == start and right[piece[-1]] == end
-            assert np.array_equal(right[piece[:-1]], left[piece[1:]])
-        first += count
+    assert len(counts) == 3 and sum(counts) == len(panels) > 39 + 2 + 1
+    for level in range(5):
+        left, right = panels[:, 0] - panels[:, 1], panels[:, 0] + panels[:, 1]
+        first = 0
+        for curve, count in zip(curves, counts):
+            rows = slice(first, first + count)
+            for k in range(len(curve.speeds)):
+                piece = np.flatnonzero(panels[rows, 4] == k) + first
+                assert left[piece[0]] == 0.0 and right[piece[-1]] == 1.0, (level, curve.label, k)
+                assert np.array_equal(right[piece[:-1]], left[piece[1:]]), (level, curve.label, k)
+            first += count
+        panels = (panels @ lengths._TO_PARTS).reshape(-1, lengths._COLUMNS)
+        counts = [lengths._SPLIT * c for c in counts]
 
 
 def test_a_check_makes_one_integrand_call_per_round():
@@ -646,11 +654,11 @@ def test_verify_inequality_mobius():
 
 
 def test_curve_pieces_are_read_only():
-    # the built-in curves are shared: a write to their pieces doubled every later length of I1
+    # the built-in curves are shared: a write to their speeds doubled every later length of I1
     before = verify_inequality(mobius_family(0.5), 0.5)
     for curve in (vertical_diameter(), left_half_circle(), segment_curve(0.1j, 0.5 + 0.2j)):
         with pytest.raises(ValueError, match="read-only"):
-            curve.pieces[2] *= 2
+            curve.speeds[0] *= 2
     assert verify_inequality(mobius_family(0.5), 0.5) == before
     assert before.length_i1 == pytest.approx(4.4285948711763625, rel=1e-12)
 
