@@ -192,7 +192,13 @@ def winding_number(point: complex, loop: tuple[complex, ...]) -> int:
     """Winding number of a closed polyline about ``point``.
 
     The loop closes implicitly from the last vertex back to the first. The
-    point must not lie on the loop.
+    point must not lie on the loop. ``_orient`` is a float determinant, so a
+    point within about 1e-15 of an edge can take the wrong sign and be
+    miscounted. No verdict depends on that: :func:`arc_constant` asks only
+    about points more than ``_ON_CURVE_TOL`` from ``J`` and from the axis
+    chord. It rejects a pole that close and sends a mirror pole that close to
+    ``J`` to the inside branch before asking; the mirror is as far from the
+    chord as the pole, since reflection maps the axis onto itself.
     """
     w = 0
     for a, b in zip(loop, loop[1:] + loop[:1]):

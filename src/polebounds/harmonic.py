@@ -226,17 +226,14 @@ def wos_harmonic_measure(
         raise DomainError(f"seed must be non-negative, got {seed!r}")
     if not a < b:
         raise DomainError("need a < b")
-    if p == 1.0:
-        if zz.imag <= 0.0:
-            raise DomainError("z must lie in the open upper half-plane")
-        disk = ExcludedDisk(p=1.0, center=1.0, radius=0.0)
-    else:
-        if not 0.0 < a:
-            raise DomainError("need 0 < a < b for an Omega1 query")
-        if not in_omega1(zz, p):
-            raise DomainError("z must lie in Omega1")
-        disk = ExcludedDisk.from_pole(p)
-    start = min(zz.imag, _omega1_gap(zz, disk))
+    if p != 1.0 and not 0.0 < a:
+        raise DomainError("need 0 < a < b for an Omega1 query")
+    disk = ExcludedDisk(p=1.0, center=1.0, radius=0.0) if p == 1.0 else ExcludedDisk.from_pole(p)
+    start = min(zz.imag, _omega1_gap(zz, disk))  # positive exactly on the domain
+    if not start > 0.0:
+        raise DomainError(
+            "z must lie in the open upper half-plane" if p == 1.0 else "z must lie in Omega1"
+        )
     if not eps < start:
         raise DomainError(
             f"eps={eps!r} must be below the start's distance {start!r} to the boundary"
@@ -251,21 +248,19 @@ def wos_harmonic_measure(
         hits = capped = 0
 
         for _ in range(WOS_STEP_CAP):
-            if pts.size == 0:
-                break
-            gap = _omega1_gap(pts, disk)
-            dist = np.minimum(pts.imag, gap)
+            dist = np.minimum(pts.imag, _omega1_gap(pts, disk))
             absorb = ~(dist >= eps)  # a nan walk overflowed: absorbed, scores 0
             if absorb.any():
                 zdone = pts[absorb]
-                nearest_on_axis = zdone.imag <= gap[absorb]
                 x = zdone.real
-                hits += int(np.count_nonzero(nearest_on_axis & (x >= a) & (x <= b)))
+                # nearest boundary point on the axis; never for nan
+                hits += int(np.count_nonzero((zdone.imag == dist[absorb]) & (x >= a) & (x <= b)))
                 keep = ~absorb
                 pts = pts[keep]
+                if pts.size == 0:
+                    break
                 dist = dist[keep]
-            if pts.size:
-                pts += _wos_jump(rng, dist)
+            pts += _wos_jump(rng, dist)
         else:
             capped = int(pts.size)
 

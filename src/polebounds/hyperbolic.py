@@ -31,7 +31,10 @@ class ExcludedDisk:
 
     @classmethod
     def from_pole(cls, p: float) -> "ExcludedDisk":
+        """The disk of a pole ``p`` in (0, 1) whose ``1/p`` is finite (``p`` above ~5.6e-309)."""
         p = _check_unit_interval(p, "p")
+        if not 1.0 / p < math.inf:
+            raise DomainError(f"the excluded disk overflows at p={p!r}: 1/p is not finite")
         return cls(p, (1.0 + p * p) / (2.0 * p), (1.0 - p * p) / (2.0 * p))
 
     def boundary_gap(self, z: complex) -> float:

@@ -39,9 +39,14 @@ def test_parse_grid():
                                          (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)]
 
 
-@pytest.mark.parametrize("grid", ["0.5:0.5:1e-300", "0:inf:0.5", "nan:1:0.1", "0:1:inf"])
+@pytest.mark.parametrize(
+    "grid",
+    ["0.5:0.5:1e-300", "0:inf:0.5", "nan:1:0.1", "0:1:inf",
+     "0.1:0.5", "a:b:c", "0.9:0.1:0.1", "0.1:0.9:0", "0.1:0.9:-0.1"],
+)
 def test_runaway_grid_exits_2(grid, capsys):
-    # each of these looped forever, ran out of memory or gave [nan] before the checks
+    # the first four looped forever, ran out of memory or gave [nan] before the
+    # checks; the rest are malformed or run backwards
     code, text = run(["verify", "--family", "mobius", "--grid", grid])
     err = capsys.readouterr().err
     assert code == 2 and text == ""
@@ -486,6 +491,14 @@ def test_harmonic_overflowing_modulus_exits_2(capsys):
         ["harmonic", "--z", "1.7e308,1.7e308", "--a", "1", "--b", "2", "--p", "0.5"], capsys
     )
     assert err.count("\n") == 1 and "modulus that overflows" in err
+
+
+def test_harmonic_pole_whose_inverse_overflows_exits_2(capsys):
+    # 1/p overflowed in the excluded disk, which put z = 2i outside Omega1
+    err = _assert_usage_error(
+        ["harmonic", "--z", "0,2", "--a", "1", "--b", "4", "--p", "1e-310"], capsys
+    )
+    assert err.count("\n") == 1 and "overflows at p=1e-310" in err
 
 
 def test_arc_overflowing_modulus_exits_2(tmp_path, capsys):

@@ -394,8 +394,11 @@ def test_wos_input_validation():
         wos_harmonic_measure(2j, 1.0, 4.0, p=0.5, n_walks=0)
     with pytest.raises(DomainError):
         wos_harmonic_measure(2j, 1.0, 4.0, p=0.5, n_walks=10, eps=-1.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="z must lie in Omega1"):
         wos_harmonic_measure(-1 + 0.1j, 1.0, 4.0, p=0.5, n_walks=10)
+    # on the excluded circle: the start distance is exactly 0.0
+    with pytest.raises(DomainError, match="z must lie in Omega1"):
+        wos_harmonic_measure(-1.25 + 0.75j, 1.0, 4.0, p=0.5, n_walks=10)
     with pytest.raises(DomainError):
         wos_harmonic_measure(2j, -1.0, 4.0, p=0.5, n_walks=10)
     with pytest.raises(DomainError, match="need a < b"):
@@ -408,6 +411,16 @@ def test_wos_input_validation():
     for seed in (1.5, -0.5):
         with pytest.raises(DomainError, match="seed must be an integer"):
             wos_harmonic_measure(2j, 1.0, 4.0, p=0.5, n_walks=10, seed=seed)
+
+
+@pytest.mark.parametrize("p", [1e-310, 5e-324])
+def test_pole_whose_inverse_overflows_raises(p):
+    # both called 2i outside Omega1; a nan start gap would also pass the walk's
+    # one start test, as min(Im z, nan) is Im z
+    with pytest.raises(DomainError, match="overflows"):
+        hm_omega1(2j, 1.0, 4.0, p)
+    with pytest.raises(DomainError, match="overflows"):
+        wos_harmonic_measure(2j, 1.0, 4.0, p, n_walks=10)
 
 
 def test_wos_rejects_more_walks_than_the_cap():

@@ -147,6 +147,20 @@ def test_boundary_gap_matches_mpmath_at_small_p(p):
     assert not in_omega(complex(p, 0.0), p)
 
 
+@pytest.mark.parametrize("p", [1e-310, 5e-324])
+def test_excluded_disk_of_a_pole_whose_inverse_overflows_raises(p):
+    # center and radius were inf, so the gap was nan and 0.5i read as outside Omega
+    for call in (ExcludedDisk.from_pole, lambda p: in_omega(0.5j, p), lambda p: in_omega1(1j, p)):
+        with pytest.raises(DomainError, match="overflows"):
+            call(p)
+
+
+def test_excluded_disk_at_the_least_pole_with_finite_inverse():
+    p = 5.56268464626801e-309  # the next double down has 1/p = inf
+    assert math.isfinite(1.0 / p) and not math.isfinite(1.0 / math.nextafter(p, 0.0))
+    assert in_omega(0.5j, p)
+
+
 # ------------------------------------------------------------------ membership
 
 
