@@ -60,7 +60,8 @@ GEOMETRY_TOL = 1e-12
 
 _ON_CURVE_TOL = 1e-10
 
-#: Upper bound on the segment pairs the simplicity test holds in memory at once.
+#: Upper bound on the orientation entries, segments times vertices, that the
+#: simplicity test computes in one block of segment rows (at least one row).
 _PAIR_BLOCK = 1 << 16
 
 
@@ -69,57 +70,75 @@ def _orient(a: complex, b: complex, c: complex) -> float:
 
 
 def _within(p, q, r):
-    """Whether ``r`` lies in the closed bounding box of ``p`` and ``q`` (arrays)."""
-    return (
-        (np.minimum(p.real, q.real) <= r.real)
-        & (r.real <= np.maximum(p.real, q.real))
-        & (np.minimum(p.imag, q.imag) <= r.imag)
-        & (r.imag <= np.maximum(p.imag, q.imag))
-    )
+    """Whether each point ``r`` lies in the closed bounding box of ``p`` and ``q``.
 
-
-def _segments_meet(a, b, c, d) -> np.ndarray:
-    """Whether the closed segments ``ab`` and ``cd`` meet, elementwise over arrays.
-
-    They meet when each straddles the other's line (strict ``> 0`` sign test)
-    or when an endpoint of one lies on the other: an exact-zero orientation
-    inside the closed bounding box, tested only where such a zero occurs.
+    The arguments hold x and y in two rows, one point per column.
     """
-    d1, d2 = _orient(c, d, a), _orient(c, d, b)
-    d3, d4 = _orient(a, b, c), _orient(a, b, d)
-    meet = ((d1 > 0) != (d2 > 0)) & ((d3 > 0) != (d4 > 0))
-    for o, p, q, r in ((d1, c, d, a), (d2, c, d, b), (d3, a, b, c), (d4, a, b, d)):
-        on_line = o == 0.0
-        if np.count_nonzero(on_line):  # on short arrays, cheaper than .any()
-            meet |= on_line & _within(p, q, r)
-    return meet
+    return np.all((np.minimum(p, q) <= r) & (r <= np.maximum(p, q)), axis=0)
+
+
+def _orient_signs(xy, d, rows, cols):
+    """Where ``_orient(z[k], z[k+1], z[j])`` is positive and where it is zero.
+
+    ``k`` runs over the segments in ``rows`` (steps ``d``), ``j`` over the
+    vertices in ``cols`` (``xy``). Comparing the two products of
+    ``dx*(y_j - y_k) - dy*(x_j - x_k)`` gives its signs and exact zeros.
+    """
+    t = xy[::-1, None, cols] - xy[::-1, rows, None]
+    t *= d[:, rows, None]
+    return t[0] > t[1], t[0] == t[1]
 
 
 def _has_crossing(verts: tuple[complex, ...]) -> bool:
     """Whether two segments meet anywhere but at the vertex that adjacent ones share.
 
-    Adjacent segments meet elsewhere only when they fold back: an exact-zero
-    orientation and a reversed direction, tested only where such a zero
-    occurs. Non-adjacent segments ``i`` and ``j >= i + 2`` must not meet at
-    all. The pairs are tested as arrays, the non-adjacent ones in blocks of
-    rows that keep memory bounded on long polylines.
+    The test reads the orientation matrix ``o[k, j] = _orient(z[k], z[k+1], z[j])``
+    of every segment ``k`` against every vertex ``j``, so it is quadratic in
+    the vertices. Segments ``i`` and ``k >= i + 2`` cross when the signs
+    ``o > 0`` at the ends of each differ on the other's row: the matrix read
+    against its transpose. They also meet when an end of one lies on the
+    other: an exact zero of ``o`` off the segment's own two endpoints, boxed
+    by ``_within`` only where such a zero occurs. Adjacent segments meet
+    elsewhere only when they fold back: ``o[k, k+2] == 0`` and a reversed
+    direction. The matrix is built in blocks of segment rows that keep memory
+    bounded on long polylines; a later block reads its transposed half from
+    a second matrix, all earlier segments against the block's vertices.
     """
     z = np.array(verts, dtype=complex)
-    a, b, c = z[:-2], z[1:-1], z[2:]
-    u, v = b - a, c - a
-    on_line = u.real * v.imag == u.imag * v.real  # _orient(a, b, c) == 0, in fewer array calls
-    if np.count_nonzero(on_line):
-        w = c - b
-        if np.count_nonzero(on_line & (u.real * w.real + u.imag * w.imag < 0.0)):
-            return True
-    n = len(z) - 1
-    j = np.arange(n)
-    rows = max(1, _PAIR_BLOCK // n)
+    xy = np.array((z.real, z.imag))  # x and y in two rows
+    d = xy[:, 1:] - xy[:, :-1]
+    n = d.shape[1]
+    rows = max(1, _PAIR_BLOCK // (n + 1))
     for lo in range(0, n, rows):
-        i, k = np.nonzero(j >= np.arange(lo, min(lo + rows, n))[:, None] + 2)
-        i += lo
-        if np.count_nonzero(_segments_meet(z[i], z[i + 1], z[k], z[k + 1])):
+        hi = min(lo + rows, n)
+        left, zero = _orient_signs(xy, d, slice(lo, hi), slice(None))
+        # side[k - lo, i] and back[i, k - lo]: the ends of segment i on either
+        # side of segment k's line, and the other way round
+        side = left[:, :-1] != left[:, 1:]
+        back = side[:, lo:hi]
+        if lo:
+            left = _orient_signs(xy, d, slice(lo), slice(lo, hi + 1))[0]
+            back = np.concatenate((left[:, :-1] != left[:, 1:], back))
+        cross = side[:, :hi] & back.T
+        # i = k is never set; adjacent segments, i = k - 1 and k + 1, sit on the
+        # diagonals beside it, and every other pair counts once or twice
+        adjacent = np.diagonal(cross, lo - 1), np.diagonal(cross, lo + 1)
+        if np.count_nonzero(cross) > sum(map(np.count_nonzero, adjacent)):
             return True
+        # zeros beyond each segment's own two endpoints are rare: test only those
+        if np.count_nonzero(zero) > 2 * (hi - lo):
+            # segment f folds back over f + 1: vertex f + 2 on its line, direction reversed
+            dx, dy = d
+            f = np.flatnonzero(np.diagonal(zero, lo + 2)) + lo
+            if np.count_nonzero(dx[f] * dx[f + 1] + dy[f] * dy[f + 1] < 0.0):
+                return True
+            # vertex j ends segments j - 1 and j: it counts unless both are k or next to it
+            k, j = np.nonzero(zero)
+            k += lo
+            far = (abs(np.maximum(j - 1, 0) - k) > 1) | (abs(np.minimum(j, n - 1) - k) > 1)
+            k, j = k[far], j[far]
+            if np.count_nonzero(_within(xy[:, k], xy[:, k + 1], xy[:, j])):
+                return True
     return False
 
 
@@ -130,7 +149,8 @@ class PolylineArc:
     The vertices pass the polylines' one check (at least two, strictly inside
     the unit disk, none equal to the next). Two segments may meet only where
     adjacent ones share a vertex, so touching, crossing, folding back and a
-    closed loop are rejected. The segment pairs are tested as numpy arrays.
+    closed loop are rejected. Every segment is tested against every vertex
+    in numpy arrays, so the test is quadratic in the vertices.
     """
 
     vertices: tuple[complex, ...]

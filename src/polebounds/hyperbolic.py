@@ -79,9 +79,10 @@ def in_omega(z: complex, p: float) -> bool:
 
 
 def in_omega1(z: complex, p: float) -> bool:
-    """Strict membership in Omega1, the Cayley image of Omega in ``H``."""
+    """Strict membership in Omega1, the Cayley image of Omega in ``H``; checks ``p`` first."""
     zz = as_complex(z)
-    return zz.imag > 0.0 and _omega1_gap(zz, ExcludedDisk.from_pole(p)) > 0.0
+    disk = ExcludedDisk.from_pole(p)
+    return zz.imag > 0.0 and _omega1_gap(zz, disk) > 0.0
 
 
 def disk_nesting(p1: float, p2: float) -> bool:

@@ -3,6 +3,7 @@
 import cmath
 import math
 import re
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -138,30 +139,71 @@ def _is_simple(verts):
     return True
 
 
-@pytest.mark.parametrize("pair_block", [None, 5])
-def test_array_simplicity_matches_pairwise_loop_on_lattice(monkeypatch, pair_block):
-    # a coarse integer grid makes collinear, touching and overlapping segments
-    # common; points on a sloped line make orientation signs come from rounding
-    if pair_block is not None:
-        monkeypatch.setattr(arcs, "_PAIR_BLOCK", pair_block)
-    rng = np.random.default_rng(2024)
-    seen = {True: 0, False: 0}
-    for k in range(1500):
+def _polyline_batch(rng, count, kinds=("sloped", "lattice", "lattice"), long_every=0):
+    """Seeded polylines of 2-9 vertices, every fourth one closed.
+
+    The ``k``-th one is of kind ``kinds[k % len(kinds)]``, and has 40
+    vertices when ``long_every`` divides ``k``. A coarse integer grid makes
+    collinear, touching and overlapping segments common; points on a sloped
+    line make orientation signs come from rounding; uniform points and
+    star-shaped arcs are in general position.
+    """
+    for k in range(count):
         m = int(rng.integers(2, 10))
-        if k % 3 == 0:
+        if long_every and k % long_every == 0:
+            m = 40
+        kind = kinds[k % len(kinds)]
+        if kind == "sloped":
             pts = [complex(x, 0.1 + 0.3 * x) for x in rng.integers(-9, 10, m) / 10]
-        else:
+        elif kind == "lattice":
             g = int(rng.integers(2, 5))
             pts = [complex(x, y) / 8 for x, y in rng.integers(-g, g + 1, (m, 2))]
+        elif kind == "uniform":
+            pts = [complex(x, y) for x, y in rng.uniform(-0.6, 0.6, (m, 2))]
+        else:
+            angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, m))
+            pts = [cmath.rect(r, t) for r, t in zip(rng.uniform(0.2, 0.7, m), angles)]
         if k % 4 == 0:
             pts.append(pts[0])
         verts = tuple(v for i, v in enumerate(pts) if i == 0 or v != pts[i - 1])
-        if len(verts) < 2:
-            continue
+        if len(verts) >= 2:
+            yield verts
+
+
+def _comb(end_y, n=1001):
+    """A comb of ``n`` vertices whose last segments hook back over its teeth.
+
+    The hook ends at ``end_y`` straight above the middle of segment 1, the
+    first tooth's top at ``y = 0.5``.
+    """
+    teeth = [
+        complex(-0.6 + 1.2 * (k // 2) / ((n - 4) // 2), 0.5 if k % 4 in (1, 2) else -0.5)
+        for k in range(n - 3)
+    ]
+    x = (teeth[1].real + teeth[2].real) / 2
+    return tuple(teeth) + (0.65 + 0.6j, complex(x, 0.6), complex(x, end_y))
+
+
+# 20 * 40 entries split a 40-vertex polyline's 39 segment rows after row 20,
+# so the second block reads its transposed half from the second matrix; the
+# combs' last segment meets segment 1 across that split
+@pytest.mark.parametrize("pair_block", [None, 1, 5, 20 * 40])
+def test_array_simplicity_matches_pairwise_loop_on_lattice(monkeypatch, pair_block):
+    if pair_block is not None:
+        monkeypatch.setattr(arcs, "_PAIR_BLOCK", pair_block)
+    seen = {True: 0, False: 0}
+    long_seen = {True: 0, False: 0}
+    general = _polyline_batch(
+        np.random.default_rng(2025), 600, ("uniform", "star", "sloped", "uniform", "lattice"), 7
+    )
+    combs = (_comb(end_y, 40) for end_y in (0.55, 0.5, 0.45))
+    for verts in [*_polyline_batch(np.random.default_rng(2024), 1500), *general, *combs]:
         expected = _is_simple_scalar(verts)
         assert _is_simple(verts) == expected, verts
         seen[expected] += 1
-    assert min(seen.values()) > 200
+        if len(verts) >= 40:
+            long_seen[expected] += 1
+    assert min(seen.values()) > 200 and min(long_seen.values()) > 5
 
 
 @pytest.mark.parametrize(
@@ -199,6 +241,43 @@ def test_non_simple_polylines_rejected(verts):
     assert not _is_simple_scalar(verts)
     with pytest.raises(DomainError, match="not simple"):
         PolylineArc(verts)
+
+
+def test_simplicity_verdicts_hold_under_masked_dispatch(run_masked):
+    # the orientations only subtract, multiply and compare, which round the
+    # same at every numpy dispatch level
+    batch = list(_polyline_batch(np.random.default_rng(11), 600))
+    code = (
+        "import ast, sys\nfrom polebounds import arcs\n"
+        "print([arcs._has_crossing(v) for v in ast.literal_eval(sys.stdin.read())])"
+    )
+    verdicts = [arcs._has_crossing(v) for v in batch]
+    assert 50 < sum(verdicts) < 550
+    assert run_masked(code, stdin=repr(batch)) == f"{verdicts}\n"
+
+
+@pytest.mark.parametrize(
+    "end_y, simple", [(0.55, True), (0.5, False), (0.45, False)], ids=["clear", "touch", "cross"]
+)
+def test_long_comb_meets_across_blocks(end_y, simple):
+    # the last segment meets segment 1, 15 blocks of 65 segment rows earlier:
+    # a touch is an exact zero in segment 1's row, a crossing needs the second matrix
+    verts = _comb(end_y)
+    assert len(verts) == 1001 and 1000 * 1001 > 15 * arcs._PAIR_BLOCK
+    assert _is_simple(verts) == simple
+
+
+def test_long_zigzag_memory_stays_bounded():
+    # one 2001 x 2001 float matrix would take 32 MB; the blocks take about 1.6 MB
+    n = 2000
+    verts = tuple(complex(0.3 * (k % 2), -0.6 + 1.2 * k / n) for k in range(n + 1))
+    tracemalloc.start()
+    try:
+        PolylineArc(verts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 def test_normalize_returns_an_axis_arc_itself():

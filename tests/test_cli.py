@@ -501,6 +501,15 @@ def test_harmonic_pole_whose_inverse_overflows_exits_2(capsys):
     assert err.count("\n") == 1 and "overflows at p=1e-310" in err
 
 
+@pytest.mark.parametrize("p", ["2", "nan"])
+def test_harmonic_pole_off_the_unit_interval_exits_2_naming_p(p, capsys):
+    # a point below the axis was reported as "z must lie in Omega1"
+    err = _assert_usage_error(
+        ["harmonic", "--z", "0,-1", "--a", "1", "--b", "4", "--p", p], capsys
+    )
+    assert err == f"error: p must lie in the open interval (0, 1), got {float(p)!r}\n"
+
+
 def test_arc_overflowing_modulus_exits_2(tmp_path, capsys):
     # abs(v) overflowed in the vertex check of PolylineArc
     path = tmp_path / "big.txt"

@@ -423,6 +423,17 @@ def test_pole_whose_inverse_overflows_raises(p):
         wos_harmonic_measure(2j, 1.0, 4.0, p, n_walks=10)
 
 
+@pytest.mark.parametrize("z", [-1j, 0j])
+@pytest.mark.parametrize("p", [2.0, math.nan])
+def test_pole_off_the_unit_interval_is_named_below_the_axis(z, p):
+    # hm_omega1 said "z must lie in Omega1" here, where the walk named p
+    message = r"^p must lie in the open interval \(0, 1\)"
+    with pytest.raises(DomainError, match=message):
+        hm_omega1(z, 1.0, 4.0, p)
+    with pytest.raises(DomainError, match=message):
+        wos_harmonic_measure(z, 1.0, 4.0, p, n_walks=10)
+
+
 def test_wos_rejects_more_walks_than_the_cap():
     # raised before any array is built; numpy could not allocate this many
     with pytest.raises(DomainError, match="at most"):

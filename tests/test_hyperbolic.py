@@ -155,6 +155,15 @@ def test_excluded_disk_of_a_pole_whose_inverse_overflows_raises(p):
             call(p)
 
 
+@pytest.mark.parametrize("z", [-1j, 0j, 2 - 0.5j])
+@pytest.mark.parametrize("p", [2.0, 0.0, math.nan])
+def test_omega1_membership_checks_the_pole_below_the_axis(z, p):
+    # below the axis the half-plane test returned False before the pole was read
+    for call in (in_omega, in_omega1):
+        with pytest.raises(DomainError, match=r"^p must lie in the open interval \(0, 1\)"):
+            call(z, p)
+
+
 def test_excluded_disk_at_the_least_pole_with_finite_inverse():
     p = 5.56268464626801e-309  # the next double down has 1/p = inf
     assert math.isfinite(1.0 / p) and not math.isfinite(1.0 / math.nextafter(p, 0.0))
