@@ -62,12 +62,13 @@ def parse_grid(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"bad grid {text!r}: start, stop and step must be finite")
     if step <= 0 or stop < start:
         raise argparse.ArgumentTypeError(f"bad grid {text!r}: need start <= stop, step > 0")
-    steps = (stop - start + 1e-12) / step
+    steps = (stop - start) / step
     if steps >= _MAX_GRID_POINTS:
         raise argparse.ArgumentTypeError(f"bad grid {text!r}: more than {_MAX_GRID_POINTS} points")
-    # start + k*step never decreases in k, so the kept values are a prefix.
+    # start + k*step never decreases in k, so the kept values are a prefix; a
+    # step below the rounding of start repeats a value, which is kept once.
     grid = (start + k * step for k in range(int(steps) + 2))
-    return [round(v, 12) for v in grid if v <= stop + 1e-12]
+    return list(dict.fromkeys(round(v, 12) for v in grid if v <= stop + 1e-12))
 
 
 def emit(records: list[dict], fmt: str, out) -> None:

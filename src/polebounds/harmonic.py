@@ -91,8 +91,8 @@ def hm_omega1(z: complex, a: float, b: float, p: float) -> float:
     maps Omega1 onto ``H`` and the segment onto ``[psi(a), psi(b)]``. So the
     measure is ``arg(1 + (psi(a) - psi(b)) / (psi(z) - psi(a))) / pi``, or minus
     that with ``a, b`` swapped, whichever has the shorter ``psi(z) - psi(.)``.
-    ``psi(z)`` rounds to 1 far away, so differences are built from
-    ``r(y) - r(x) = k (y - x) / ((x + 1/p)(y + 1/p))``, ``k = 1/p - p``.
+    ``psi(z)`` rounds to 1 far away, so ``psi(z) - psi(x) = (r(z) - r(x)) (r(z) + r(x))``,
+    with ``r(z) - r(x) = k / (x + 1/p) * (z - x) / (z + 1/p)`` near and far, ``k = 1/p - p``.
     """
     zz = as_complex(z)
     if not 0.0 < a < b < math.inf:
@@ -105,12 +105,9 @@ def hm_omega1(z: complex, a: float, b: float, p: float) -> float:
     m = math.hypot(zz.real + inv, zz.imag)
     rz = complex(((zz + p) / (zz + inv)).real, k / m * (zz.imag / m))
 
-    def psi_from(x):  # psi(z) - psi(x) and r(x); near x, r(z) - r(x) as one quotient
+    def psi_from(x):  # psi(z) - psi(x) and r(x), with r(z) - r(x) as one quotient
         rx = (x + p) / (x + inv)
-        if math.hypot(zz.real - x, zz.imag) < x + inv:
-            diff = k / (x + inv) * ((zz - x) / (zz + inv))
-        else:
-            diff = k / (x + inv) - k / (zz + inv)
+        diff = k / (x + inv) * ((zz - x) / (zz + inv))
         return complex(diff.real * (rz.real + rx) - rz.imag * rz.imag, 2.0 * rz.real * rz.imag), rx
 
     (wa, ra), (wb, rb) = psi_from(a), psi_from(b)

@@ -140,7 +140,8 @@ _RATIO = (1.0 + _GRADE) / (1.0 - _GRADE)
 
 #: Edge offsets from a foot, in units of its first edge, ``-R^k .. -1, 0, 1 ..
 #: R^k``, sliced to the ``k`` a panel set needs; past ``R^_GRADES`` the
-#: adaptive loop refines what grading left coarse.
+#: outermost panels run to the piece's ends, and the adaptive loop refines
+#: what grading left coarse.
 _GRADES = 64
 _POWERS = _RATIO ** np.arange(_GRADES + 1)
 _OFFSETS = np.concatenate((-_POWERS[::-1], [0.0], _POWERS))
@@ -390,6 +391,18 @@ def _first_panels(curves: tuple[Curve, ...], pole: complex, tol: float):
     np.rint(edges, out=edges)
     edges /= _GRID
     np.clip(edges, 0.0, 1.0, out=edges)
+    if n == _GRADES:  # below the cap, the clip already gives every piece its ends
+        edges[:, 0], edges[:, -1] = 0.0, 1.0
+        # inner edges are monotone about the foot: if the outermost two meet,
+        # all round onto it, and a graded piece's panels would run from its
+        # foot to its ends with nodes that miss the pole
+        lost = (reach > 1.0) & (edges[:, 1] == edges[:, -2])
+        if lost.any():
+            curve = curves[np.searchsorted(firsts, lost.argmax(), side="right") - 1]
+            raise QuadratureError(
+                f"curve {curve.label!r} is too long for its distance to the pole {pole}:"
+                f" its first panels cannot resolve the pole on a grid of 2**-40"
+            )
     half = edges[:, 1:] - edges[:, :-1]
     half *= 0.5
     rows = np.empty(half.shape + (_COLUMNS,))

@@ -1,9 +1,11 @@
 """Command-line interface: formats, exit codes, reproducibility."""
 
+import argparse
 import contextlib
 import io
 import json
 import re
+import shlex
 import warnings
 from pathlib import Path
 
@@ -37,11 +39,15 @@ def test_parse_complex_forms():
 def test_parse_grid():
     assert parse_grid("0.1:0.9:0.1") == [pytest.approx(v) for v in
                                          (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)]
+    # the end test's slack of 1e-12 once set the count: 1e288 points, refused
+    assert parse_grid("0.5:0.5:1e-300") == [0.5]
+    with pytest.raises(argparse.ArgumentTypeError, match="more than 10000 points"):
+        parse_grid("0:1:1e-5")
 
 
 @pytest.mark.parametrize(
     "grid",
-    ["0.5:0.5:1e-300", "0:inf:0.5", "nan:1:0.1", "0:1:inf",
+    ["0.5:0.6:1e-300", "0:inf:0.5", "nan:1:0.1", "0:1:inf",
      "0.1:0.5", "a:b:c", "0.9:0.1:0.1", "0.1:0.9:0", "0.1:0.9:-0.1"],
 )
 def test_runaway_grid_exits_2(grid, capsys):
@@ -268,7 +274,8 @@ def test_arc_missing_file_exits_2():
 
 # ------------------------------------------------------------ verify/arc pins
 
-INSTANCES = Path(__file__).resolve().parents[1] / "scripts" / "instances"
+ROOT = Path(__file__).resolve().parents[1]
+INSTANCES = ROOT / "scripts" / "instances"
 
 #: ``verify`` and ``arc`` JSON at full precision, on the desk instances. A
 #: change that moves a length in its last digits restates these on purpose.
@@ -561,6 +568,34 @@ def test_harmonic_wos_output_is_pinned(argv, expect):
     # the walk imports numpy when it runs; a seed fixes the uniform behind each
     # step's direction, and so the output
     assert run(["harmonic", "--a", "1", "--b", "4", *argv]) == (0, expect)
+
+
+def _readme_commands():
+    """The one-line ``polebounds ...`` commands in the README's CLI and Scripts code blocks.
+
+    Indented lines, such as the body of a shell ``for`` loop, are not one-line
+    commands and are left out.
+    """
+    text = (ROOT / "README.md").read_text()
+    commands = []
+    for section in ("## CLI", "## Scripts"):
+        body = text.split(f"\n{section}\n", 1)[1].split("\n## ", 1)[0]
+        commands += [
+            (section, shlex.split(line.split("#", 1)[0])[1:])
+            for block in body.split("```")[1::2]
+            for line in block.splitlines()
+            if line.startswith("polebounds ")
+        ]
+    return commands
+
+
+def test_readme_examples_exit_0(monkeypatch):
+    # a renamed flag or a moved instance file fails here before a reader hits it
+    commands = _readme_commands()
+    assert {section for section, _ in commands} == {"## CLI", "## Scripts"}
+    monkeypatch.chdir(ROOT)
+    for _, argv in commands:
+        assert run(argv)[0] == 0, argv
 
 
 def test_format_env_var_default(monkeypatch):

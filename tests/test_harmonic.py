@@ -1,5 +1,6 @@
 """Exact harmonic measure, the cotangent bound, the Monte Carlo oracle."""
 
+import cmath
 import math
 import warnings
 
@@ -148,25 +149,57 @@ _SEGMENTS = [
 ]
 
 
-@pytest.mark.parametrize("a,b", _SEGMENTS)
+def _seeded_omega1_queries(per_kind=20, seed=20261021):
+    """Seeded ``(z, a, b, p)`` in Omega1, each with its own segment in [1e-3, 1e6].
+
+    ``per_kind`` of each: ``|z|`` from 1e3 to 1e300 with ``p`` from 1e-9 to
+    0.99; ``z`` next to either endpoint, 1e-10 to 1 of it away; and ``z`` in
+    the box of ``rand_omega1_point`` beside a pole from 1e-9 to 1e-6.
+    """
+    rng = np.random.default_rng(seed)
+    kinds = [[], [], []]
+    while min(map(len, kinds)) < per_kind:
+        a = 10 ** rng.uniform(-3, 3)
+        b = a * (1 + 10 ** rng.uniform(-6, 3))
+        p = 0.99 * 10 ** rng.uniform(-9, 0)
+        x = (a, b)[len(kinds[1]) % 2]
+        side = cmath.rect(10 ** rng.uniform(-10, 0), rng.uniform(0, math.pi))
+        tiny = 10 ** rng.uniform(-9, -6)
+        drawn = (
+            (cmath.rect(10 ** rng.uniform(3, 300), rng.uniform(0, math.pi)), a, b, p),
+            (x + x * side, a, b, p),
+            (complex(rng.uniform(-4, 4), rng.uniform(1e-3, 4)), a, b, tiny),
+        )
+        for kind, query in zip(kinds, drawn):
+            if len(kind) < per_kind and in_omega1(query[0], query[3]):
+                kind.append(query)
+    return [query for kind in kinds for query in kind]
+
+
+@pytest.mark.parametrize("a,b", _SEGMENTS + [pytest.param(None, None, id="seeded")])
 def test_harmonic_measures_match_mpmath_far_from_the_segment(a, b):
     # within 1e-15 wherever the measure is a normal double, DomainError where it
     # underflows. The phase difference lost 11% at 1e15(1+i), and psi(z) rounded to 1
-    # from |z| ~ 1e16 on; mpmath needs 700 digits, as psi(z) - 1 reaches 1e-300.
-    with mp.workdps(700):
-        for z in _FAR_Z:
-            cases = [(hm_halfplane, (z, a, b), _mp_halfplane(z, a, b))]
+    # from |z| ~ 1e16 on; mpmath needs 800 digits, as psi(z) - 1 reaches 1e-300.
+    # The seeded Omega1 queries hold within 1.5e-15, with one form of psi(z) - psi(x)
+    # from next to an endpoint out to 1e300.
+    with mp.workdps(800):
+        if a is None:
+            cases = [(hm_omega1, q, _mp_omega1(*q), 1.5e-15) for q in _seeded_omega1_queries()]
+        else:
+            cases = [(hm_halfplane, (z, a, b), _mp_halfplane(z, a, b), 1e-15) for z in _FAR_Z]
             cases += [
-                (hm_omega1, (z, a, b, p), _mp_omega1(z, a, b, p))
+                (hm_omega1, (z, a, b, p), _mp_omega1(z, a, b, p), 1e-15)
+                for z in _FAR_Z
                 for p in (0.1, 0.5, 0.9, 1e-6)
                 if in_omega1(z, p)
             ]
-            for fn, args, exact in cases:
-                if exact < 1e-330:  # below half the least subnormal
-                    with pytest.raises(DomainError, match="rounds to 0"):
-                        fn(*args)
-                elif exact > 1e-300:
-                    assert abs(fn(*args) / exact - 1) <= 1e-15, (fn.__name__, args)
+        for fn, args, exact, bound in cases:
+            if exact < 1e-330:  # below half the least subnormal
+                with pytest.raises(DomainError, match="rounds to 0"):
+                    fn(*args)
+            elif exact > 1e-300:
+                assert abs(fn(*args) / exact - 1) <= bound, (fn.__name__, args)
 
 
 def test_omega1_rejects_outside_points():

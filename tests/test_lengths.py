@@ -82,6 +82,14 @@ def test_identity_lengths_of_reference_curves():
     assert li == pytest.approx(2.0, abs=1e-9)
     assert lt == pytest.approx(math.pi, abs=1e-9)
     assert ei < 1e-9 and et < 1e-9
+    # grading stops R^64 ~ 1.6e14 first edges from the foot; the rest of these
+    # segments was never integrated, and both lengths read 8.15e10
+    near = TestFunction(
+        id="identity", evaluate=lambda z: z, derivative=np.ones_like, pole=0.5 + 1e-3j
+    )
+    for length in (1e11, 1e15):
+        value, err = polyline_image_length(near, [0.0, length], tol=1e-12 * length)
+        assert abs(value - length) <= err <= 1e-12 * length
 
 
 @pytest.mark.parametrize("p", [0.1, 0.35, 0.5, 0.8])
@@ -482,6 +490,18 @@ def test_first_panels_tile_each_piece_exactly(pole):
             first += count
         panels = (panels @ lengths._TO_PARTS).reshape(-1, lengths._COLUMNS)
         counts = [lengths._SPLIT * c for c in counts]
+
+
+@pytest.mark.parametrize(
+    "family, exact", [(mobius_family, "29.441970937399013"), (koebe_family, "48.99993177600016")]
+)
+def test_a_pole_the_first_panels_cannot_resolve_raises(family, exact):
+    # at 1e28 every graded edge rounds onto the foot on the 2**-40 grid, so the
+    # segment was one panel whose nodes miss the pole, and its length read 0.0;
+    # at 1e25 one graded edge survives and the length is unchanged
+    assert repr(polyline_image_length(family(0.5), [0.1j, 1e25 + 0.2j])[0]) == exact
+    with pytest.raises(QuadratureError, match="'arc' is too long for its distance to the pole"):
+        polyline_image_length(family(0.5), [0.1j, 1e28 + 0.2j], labels=("arc",))
 
 
 def test_a_check_makes_one_integrand_call_per_round():
