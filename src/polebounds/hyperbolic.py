@@ -38,21 +38,18 @@ class ExcludedDisk:
         return cls(p, (1.0 + p * p) / (2.0 * p), (1.0 - p * p) / (2.0 * p))
 
     def boundary_gap(self, z: complex) -> float:
-        """Signed distance to the boundary circle (positive outside).
+        """Signed distance to the boundary circle (positive outside); Omega1's is at ``-conj(z)``.
 
-        ``|z - c| - r`` is written ``(|z - c|^2 - r^2) / (|z - c| + r)``: with
-        ``c^2 - r^2 = 1`` and ``2c = p + 1/p`` the numerator is
-        ``(x - p)(x - 1/p) + y^2``, which does not cancel when ``c`` and ``r``
-        are both about ``1/(2p)``, and is exactly 0 at ``z = p``.
+        ``|z - c| - r = (|z - c|^2 - r^2) / d``, ``d = |z - c| + r``: with ``c^2 - r^2 = 1``
+        and ``2c = p + 1/p`` the numerator is ``(x - p)(x - 1/p) + y^2``, which does not
+        cancel when ``c`` and ``r`` are both about ``1/(2p)``, and is exactly 0 at ``z = p``.
+        Its factors are divided by ``d`` before they multiply, all at half scale, so nothing
+        overflows for any finite ``z`` and ``1/p``. A numpy array ``z`` is taken unchecked.
         """
-        zz = as_complex(z)
+        zz = z if getattr(z, "ndim", 0) else as_complex(z)
         x, y = zz.real, zz.imag
-        return ((x - self.p) * (x - 1.0 / self.p) + y * y) / (abs(zz - self.center) + self.radius)
-
-
-def _omega1_gap(z, disk: ExcludedDisk):
-    """Signed distance from ``z`` (or each entry of an array) to the Omega1 circle."""
-    return abs(z + disk.center) - disk.radius
+        half_d = abs(0.5 * zz - 0.5 * self.center) + 0.5 * self.radius
+        return (x - self.p) * ((0.5 * x - 0.5 / self.p) / half_d) + y * (0.5 * y / half_d)
 
 
 def hyp_dist_disk(z: complex, w: complex) -> float:
@@ -82,7 +79,7 @@ def in_omega1(z: complex, p: float) -> bool:
     """Strict membership in Omega1, the Cayley image of Omega in ``H``; checks ``p`` first."""
     zz = as_complex(z)
     disk = ExcludedDisk.from_pole(p)
-    return zz.imag > 0.0 and _omega1_gap(zz, disk) > 0.0
+    return zz.imag > 0.0 and disk.boundary_gap(-zz.conjugate()) > 0.0
 
 
 def disk_nesting(p1: float, p2: float) -> bool:

@@ -452,6 +452,15 @@ def test_harmonic_with_wos_estimate():
     assert abs(rec["wos_mean"] - rec["value"]) <= 3 * rec["wos_stderr"]
 
 
+def test_harmonic_at_a_small_pole():
+    # the cancelling Omega1 gap put 2i outside Omega1 and exited 2
+    code, text = run(["harmonic", "--z", "0,2", "--a", "1", "--b", "4",
+                      "--p", "1e-10", "--format", "json"])
+    assert code == 0
+    rec = json.loads(text)[0]
+    assert (rec["value"], rec["sandwich_lo"]) == (9.549296583603863e-11, 5.617233284842936e-11)
+
+
 def test_harmonic_off_axis_point_has_no_sandwich():
     code, text = run(["harmonic", "--z", "1,1", "--a", "1", "--b", "4",
                       "--p", "0.5", "--format", "json"])

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from polebounds import (
     DomainError,
     ExcludedDisk,
+    WalkCapError,
     WosEstimate,
     arccot,
     check_distance_measure_bound,
@@ -22,6 +23,7 @@ from polebounds import (
     measure_cot_bound,
     wos_harmonic_measure,
 )
+from polebounds import harmonic
 from polebounds.harmonic import _wos_jump
 
 RNG = np.random.default_rng(7)
@@ -176,16 +178,34 @@ def _seeded_omega1_queries(per_kind=20, seed=20261021):
     return [query for kind in kinds for query in kind]
 
 
-@pytest.mark.parametrize("a,b", _SEGMENTS + [pytest.param(None, None, id="seeded")])
+#: Omega1 query sets and their relative error bounds; ``small_poles`` is 2i above
+#: poles that the cancelling Omega1 gap put outside Omega1.
+_OMEGA1_QUERIES = {
+    "seeded": (_seeded_omega1_queries(), 1.5e-15),
+    "small_poles": (
+        [
+            (2j, a, b, p)
+            for p in (1e-10, 1e-30, 1e-60, 1e-100)
+            for a, b in ((1.0, 2.0), (1.0, 4.0), (0.5, 4.0), (0.1, 10.0))
+        ],
+        1e-15,
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "a,b", _SEGMENTS + [pytest.param(name, None, id=name) for name in _OMEGA1_QUERIES]
+)
 def test_harmonic_measures_match_mpmath_far_from_the_segment(a, b):
     # within 1e-15 wherever the measure is a normal double, DomainError where it
     # underflows. The phase difference lost 11% at 1e15(1+i), and psi(z) rounded to 1
     # from |z| ~ 1e16 on; mpmath needs 800 digits, as psi(z) - 1 reaches 1e-300.
     # The seeded Omega1 queries hold within 1.5e-15, with one form of psi(z) - psi(x)
-    # from next to an endpoint out to 1e300.
+    # from next to an endpoint out to 1e300. The small poles raised "z must lie in Omega1".
     with mp.workdps(800):
-        if a is None:
-            cases = [(hm_omega1, q, _mp_omega1(*q), 1.5e-15) for q in _seeded_omega1_queries()]
+        if b is None:
+            queries, bound = _OMEGA1_QUERIES[a]
+            cases = [(hm_omega1, q, _mp_omega1(*q), bound) for q in queries]
         else:
             cases = [(hm_halfplane, (z, a, b), _mp_halfplane(z, a, b), 1e-15) for z in _FAR_Z]
             cases += [
@@ -438,6 +458,9 @@ def test_wos_input_validation():
         wos_harmonic_measure(1j, 2.0, 1.0, 0.5, n_walks=10)
     with pytest.raises(DomainError, match="z must lie in the open upper half-plane"):
         wos_harmonic_measure(-1j, 0.0, 1.0, 1.0, n_walks=10)
+    # at p = 1 the point disk -1 is never nearer than the axis; its gap at z = -1 divides by 0
+    with pytest.raises(DomainError, match="^z must lie in the open upper half-plane$"):
+        wos_harmonic_measure(-1 + 0j, -1.0, 1.0, 1.0, n_walks=10)
     # numpy raised a bare TypeError for a non-integer count or seed
     with pytest.raises(DomainError, match="n_walks must be an integer"):
         wos_harmonic_measure(2j, 1.0, 4.0, p=0.5, n_walks=2.5)
@@ -465,6 +488,44 @@ def test_pole_off_the_unit_interval_is_named_below_the_axis(z, p):
         hm_omega1(z, 1.0, 4.0, p)
     with pytest.raises(DomainError, match=message):
         wos_harmonic_measure(z, 1.0, 4.0, p, n_walks=10)
+
+
+def test_wos_starts_above_a_small_pole(monkeypatch):
+    # the cancelling Omega1 gap put this start outside Omega1
+    est = wos_harmonic_measure(1e-5 + 2j, 1.0, 4.0, 1e-12, n_walks=2000, eps=1e-7, seed=5)
+    assert est.n_used == 2000
+    # the measure here is 1.9e-6, so the mean is 0 either way; but |z + c| - r read 0
+    # at the first step and absorbed every walk there, where the exact gap of 1e-5 keeps
+    # each walk going
+    monkeypatch.setattr(harmonic, "WOS_STEP_CAP", 1)
+    with pytest.raises(WalkCapError):
+        wos_harmonic_measure(1e-5 + 2j, 1.0, 4.0, 1e-12, n_walks=2000, eps=1e-7, seed=5)
+
+
+@pytest.mark.parametrize("p", [1e-12, 1e-16, 1e-100])
+def test_wos_steps_resolve_the_circle_at_small_poles(p):
+    # from p = 1e-16 on, the steps' |z + c| - r read 0 at 0.3 + 0.5i: each walk was
+    # absorbed at its first step, and the estimate read 0.0 with stderr 0.0
+    est = wos_harmonic_measure(0.3 + 0.5j, 0.5, 2.0, p, n_walks=2000, eps=1e-7, seed=5)
+    assert est.stderr > 0
+    assert abs(est.mean - hm_omega1(0.3 + 0.5j, 0.5, 2.0, p)) <= 4 * est.stderr
+
+
+def test_wos_start_and_in_omega1_agree_on_membership(omega1_points, monkeypatch):
+    # only the start test is checked here, so each walk stops after its first step
+    monkeypatch.setattr(harmonic, "WOS_STEP_CAP", 1)
+    for z, p, member, clear in omega1_points:
+        if member and not clear:
+            continue
+        try:
+            wos_harmonic_measure(z, 1.0, 4.0, p, n_walks=1, eps=1e-7)
+            started = True
+        except WalkCapError:  # started, and still walking after its one step
+            started = True
+        except DomainError as err:
+            assert str(err) == "z must lie in Omega1", (z, p)
+            started = False
+        assert started == in_omega1(z, p), (z, p)
 
 
 def test_wos_rejects_more_walks_than_the_cap():

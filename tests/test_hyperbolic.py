@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -131,19 +132,28 @@ def test_excluded_disk_invariants():
         assert d.center > d.radius  # disjoint from the closed left half-disk
 
 
-@pytest.mark.parametrize("p", [1e-9, 1e-7])
+@pytest.mark.parametrize("p", [1e-9, 1e-7, 1e-100, 1e-300])
 def test_boundary_gap_matches_mpmath_at_small_p(p):
     # |z - c| - r cancelled, with c and r both about 1/(2p): the gap of 0.5i
     # read 0.0 at p = 1e-9, so in_omega called it a boundary point, and it
-    # was 1.6e-3 off, relative, at p = 1e-7
+    # was 1.6e-3 off, relative, at p = 1e-7. Omega1's gap, at -conj(z), read
+    # 0.0 for 2i at p = 1e-10. The reference is |z - c| - r at 700 digits,
+    # which cancels 600 of them at p = 1e-300; next to it the identity the gap
+    # rests on, the exact numerator (x - p)(x - 1/p) + y^2 over |z - c| + r.
     d = ExcludedDisk.from_pole(p)
-    with mpmath.workdps(60):  # the reference cancels 18 digits at p = 1e-9
+    omega = [0.5j, 0.3 + 0.4j, -0.9 + 0j, complex(2 * p, p), complex(p, 0.0)]
+    omega1 = [2j, 1 + 1j, -0.5 + 3j, complex(-p / 2, p), complex(-3 / p, 1 / p), 1e300 + 1e300j]
+    with mpmath.workdps(700):
         P = mpmath.mpf(p)
         center, radius = (1 + P * P) / (2 * P), (1 - P * P) / (2 * P)
-        for z in (0.5j, 0.3 + 0.4j, -0.9 + 0j, complex(2 * p, p), complex(p, 0.0)):
+        for z in omega + [-w.conjugate() for w in omega1]:
             exact = abs(mpmath.mpc(z) - center) - radius
+            x, y, q = Fraction(z.real), Fraction(z.imag), Fraction(p)
+            numerator = (x - q) * (x - 1 / q) + y * y
+            ratio = mpmath.mpf(numerator.numerator) / numerator.denominator / (exact + 2 * radius)
+            assert abs(ratio - exact) <= mpmath.mpf(10) ** -590 * abs(exact), z
             assert abs(d.boundary_gap(z) - exact) <= 4e-16 * abs(exact), z
-    assert in_omega(0.5j, p)
+    assert in_omega(0.5j, p) and in_omega1(2j, p)
     assert not in_omega(complex(p, 0.0), p)
 
 
@@ -179,6 +189,14 @@ def test_origin_and_i_memberships(p):
     assert in_omega1(1j, p)
     assert not in_omega(complex(p, 0), p)  # boundary point
     assert abs(ExcludedDisk.from_pole(p).boundary_gap(complex(p, 0))) <= 1e-10
+
+
+def test_omega1_membership_matches_the_exact_sign(omega1_points):
+    # |z + c| - r cancelled, with c and r both about 1/(2p): 2i read as a
+    # boundary point at p = 1e-10, and 693 of these points were misjudged
+    assert in_omega1(2j, 1e-10)
+    wrong = [(z, p) for z, p, member, _ in omega1_points if in_omega1(z, p) != member]
+    assert wrong == []
 
 
 def test_omega1_is_cayley_image_of_omega():
