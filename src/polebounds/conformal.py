@@ -33,7 +33,10 @@ def as_complex(z: complex) -> complex:
 
     Raises :class:`DomainError` otherwise.
     """
-    z = complex(z)
+    try:
+        z = complex(z)
+    except (TypeError, ValueError):
+        raise DomainError(f"point {z!r} is not a complex number") from None
     if not cmath.isfinite(z):
         raise DomainError(f"point {z!r} has a non-finite component")
     try:
@@ -54,17 +57,37 @@ def _inside_disk(z: complex, message: str) -> complex:
     return z
 
 
+def _as_real(x: float, message: str, *args) -> float:
+    """``float(x)`` for a real number ``x``, else ``DomainError(message.format(x, *args))``.
+
+    A string is refused, although ``float`` would parse it, and so is a complex
+    number, whose comparisons raise a bare ``TypeError``. The checks below call
+    it only for a value that is not already a ``float``, which saves the call
+    on every hot path.
+    """
+    if isinstance(x, (str, bytes, bytearray, complex)):
+        raise DomainError(message.format(x, *args))
+    try:
+        return float(x)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(message.format(x, *args)) from None
+
+
 def _check_positive(x: float, message: str, *args) -> float:
     """``float(x)`` for a positive finite ``x``, else ``DomainError(message.format(x, *args))``."""
+    if type(x) is not float:
+        x = _as_real(x, message, *args)
     if not 0.0 < x < math.inf:
         raise DomainError(message.format(x, *args))
-    return float(x)
+    return x
 
 
 def _check_unit_interval(x: float, name: str) -> float:
+    if type(x) is not float:
+        x = _as_real(x, "{1} must be a real number, got {0!r}", name)
     if not 0.0 < x < 1.0:
         raise DomainError(f"{name} must lie in the open interval (0, 1), got {x!r}")
-    return float(x)
+    return x
 
 
 def alpha_from_p(p: float) -> float:
@@ -146,10 +169,12 @@ def _checked_at_q(formula, p: float, q: float, what: str) -> float:
     A formula that divides by zero or overflows a ``**`` has overflowed the
     double, so that is a DomainError too.
     """
+    if type(q) is not float:
+        q = _as_real(q, "q must be a real number, got {!r}")
     if not q > 1.0:
         raise DomainError(f"q must exceed 1, got {q!r}")
     try:
-        value = formula(p, float(q))
+        value = formula(p, q)
     except (ZeroDivisionError, OverflowError):
         value = math.inf
     return _check_positive(value, "the {1} overflows at p={2!r}, q={3!r}", what, p, q)

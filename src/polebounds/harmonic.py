@@ -27,6 +27,7 @@ import operator
 from dataclasses import dataclass
 
 from .conformal import (
+    _as_real,
     _check_positive,
     _check_unit_interval,
     _checked_at_q,
@@ -60,6 +61,12 @@ def _check_measure(w: float) -> float:
     return w
 
 
+def _endpoints(a: float, b: float) -> tuple[float, float]:
+    """The segment's endpoints as floats; a non-real one raises DomainError naming it."""
+    message = "{1} must be a real number, got {0!r}"
+    return _as_real(a, message, "a"), _as_real(b, message, "b")
+
+
 def hm_halfplane(z: complex, a: float, b: float) -> float:
     """Harmonic measure of the segment ``[a, b]`` seen from ``z`` in ``H``.
 
@@ -68,6 +75,7 @@ def hm_halfplane(z: complex, a: float, b: float) -> float:
     by ``|z - a| |z - b|`` factor by factor, so no finite input overflows.
     """
     zz = as_complex(z)
+    a, b = _endpoints(a, b)
     if zz.imag <= 0.0:
         raise DomainError("z must lie in the open upper half-plane")
     if not -math.inf < a < b < math.inf:
@@ -98,6 +106,7 @@ def hm_omega1(z: complex, a: float, b: float, p: float) -> float:
     raises blames ``z`` ("rounds to 0 or pi", "too close to an endpoint").
     """
     zz = as_complex(z)
+    a, b = _endpoints(a, b)
     if not 0.0 < a < b < math.inf:
         raise DomainError("need 0 < a < b")
     if not in_omega1(zz, p):
@@ -205,12 +214,14 @@ def wos_harmonic_measure(
     boundary point lies in ``[a, b]`` on the real axis, or as a miss once a
     step overflows; ``eps`` must be positive and below the start's distance
     to the boundary, ``n_walks`` an integer in [1, WOS_MAX_WALKS] and ``seed``
-    a non-negative integer.
+    a non-negative integer; ``a``, ``b`` and ``p`` are real numbers, not strings.
     Walks exceeding the step cap are discarded and reported in ``n_capped``.
 
     All walks advance in lockstep on a single seeded generator, each live
     walk taking the next uniform in order, so a given ``(inputs, seed)`` pair
-    always reproduces the same estimate.
+    always reproduces the same estimate. An absorbed walk leaves the lockstep
+    arrays at once; the absorbed walks are scored together, once, after the
+    loop, which changes no estimate, and a capped walk is never scored.
     """
     import numpy as np
 
@@ -221,9 +232,11 @@ def wos_harmonic_measure(
         raise DomainError("n_walks must be at least 1")
     if n_walks > WOS_MAX_WALKS:
         raise DomainError(f"n_walks must be at most {WOS_MAX_WALKS}, got {n_walks}")
-    _check_positive(eps, "eps must be positive and finite, got {!r}")
+    eps = _check_positive(eps, "eps must be positive and finite, got {!r}")
     if seed < 0:
         raise DomainError(f"seed must be non-negative, got {seed!r}")
+    a, b = _endpoints(a, b)
+    p = _as_real(p, "p must be a real number, got {!r}")
     if not a < b:
         raise DomainError("need a < b")
     if p != 1.0 and not 0.0 < a:
@@ -248,26 +261,31 @@ def wos_harmonic_measure(
         # the same uniform as it would in a walk-indexed array
         rng = np.random.default_rng(seed)
         pts = np.full(n_walks, complex(zz), dtype=np.complex128)
-        hits = capped = 0
+        # absorbed walks and their distances, scored after the loop; fresh empty
+        # arrays, as a view of pts would keep the first n_walks-long array alive
+        done, done_dist = [np.empty(0, complex)], [np.empty(0)]
+        capped = 0
 
         for _ in range(WOS_STEP_CAP):
             gap = disk.boundary_gap(-pts.conj()) if exact else abs(pts + disk.center) - disk.radius
-            dist = np.minimum(pts.imag, gap)
-            absorb = ~(dist >= eps)  # a nan walk overflowed: absorbed, scores 0
-            if absorb.any():
-                zdone = pts[absorb]
-                x = zdone.real
-                # nearest boundary point on the axis; never for nan
-                hits += int(np.count_nonzero((zdone.imag == dist[absorb]) & (x >= a) & (x <= b)))
-                keep = ~absorb
-                pts = pts[keep]
-                if pts.size == 0:
+            dist = np.minimum(pts.imag, gap, out=gap)
+            keep = dist >= eps  # a nan walk overflowed: absorbed, scores 0
+            live = np.count_nonzero(keep)
+            if live < pts.size:
+                absorb = ~keep
+                done.append(pts[absorb])
+                done_dist.append(dist[absorb])
+                if not live:
                     break
-                dist = dist[keep]
+                pts, dist = pts[keep], dist[keep]
             pts += _wos_jump(rng, dist)
         else:
             capped = int(pts.size)
 
+    zdone = np.concatenate(done)
+    x = zdone.real
+    # nearest boundary point on the axis; never for nan
+    hits = int(np.count_nonzero((zdone.imag == np.concatenate(done_dist)) & (x >= a) & (x <= b)))
     n_used = n_walks - capped
     if n_used == 0:
         raise WalkCapError("all walks hit the step cap")
@@ -302,6 +320,7 @@ def check_distance_measure_bound(
     finite radius ``d`` around ``w0``, with ``w0`` outside ``D``.
     """
     ww, w0c = as_complex(w), as_complex(w0)
+    a, b = _endpoints(a, b)
     if not a < b:
         raise DomainError("need a < b")
     d = _check_positive(d, "d must be positive and finite, got {!r}")
@@ -319,7 +338,9 @@ def check_distance_measure_bound(
         delta = min(ww.imag, ExcludedDisk.from_pole(p).boundary_gap(-ww.conjugate()))
         measure = hm_omega1(ww, a, b, p)
 
-    bound = d / math.tan(math.pi * measure / 4.0) ** 2
+    # below a measure of about 1e-154 the square underflows, and the bound exceeds every double
+    tan2 = math.tan(math.pi * measure / 4.0) ** 2
+    bound = d / tan2 if tan2 else math.inf
     return DistanceMeasureCheck(
         delta=delta, bound=bound, measure=measure, passed=delta <= bound + 1e-12
     )

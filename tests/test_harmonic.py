@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 import warnings
 
 import mpmath as mp
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from polebounds import (
     DomainError,
+    PoleBoundsError,
     ExcludedDisk,
     WalkCapError,
     WosEstimate,
@@ -323,6 +325,65 @@ def test_wos_point_disk_and_omega1_estimates_are_pinned():
     )
 
 
+@pytest.mark.parametrize(
+    "cap, n_used, mean, stderr",
+    [
+        (10, 168, 0.20833333333333334, 0.03133256289157491),
+        (30, 1428, 0.18627450980392157, 0.010302712269732974),
+        (60, 1971, 0.17554540842212074, 0.00856909180427495),
+    ],
+)
+def test_wos_partly_capped_estimates_are_pinned(monkeypatch, cap, n_used, mean, stderr):
+    # walks still live at the cap are discarded, never scored: each mean counts the
+    # hits of the absorbed walks only, over n_used
+    monkeypatch.setattr(harmonic, "WOS_STEP_CAP", cap)
+    assert wos_harmonic_measure(2j, 1.0, 4.0, 0.5, n_walks=2000, seed=5) == WosEstimate(
+        mean=mean, stderr=stderr, n_walks=2000, n_used=n_used, n_capped=2000 - n_used
+    )
+
+
+def test_wos_exact_gap_estimate_with_capped_walks_is_pinned(monkeypatch):
+    # at p = 1e-12 the steps take the exact gap to the excluded circle
+    monkeypatch.setattr(harmonic, "WOS_STEP_CAP", 40)
+    est = wos_harmonic_measure(0.3 + 0.5j, 0.5, 2.0, 1e-12, n_walks=500, eps=1e-7, seed=5)
+    assert est == WosEstimate(
+        mean=0.18444444444444444, stderr=0.01828324620811965, n_walks=500, n_used=450,
+        n_capped=50,
+    )
+
+
+def test_wos_pinned_estimates_hold_under_masked_dispatch(run_masked, monkeypatch):
+    # (z, a, b, p, n_walks, eps, seed, step cap) of the three pinned estimates above
+    runs = [
+        (0.5 + 1j, -1.0, 2.0, 1.0, 2000, 1e-6, 11, 10**6),
+        (2j, 1.0, 4.0, 0.5, 2000, 1e-6, 5, 10**6),
+        (0.3 + 0.5j, 0.5, 2.0, 1e-12, 500, 1e-7, 5, 40),
+    ]
+    code = (
+        "import ast, sys\nfrom polebounds import harmonic\n"
+        "for *args, cap in ast.literal_eval(sys.stdin.read()):\n"
+        "    harmonic.WOS_STEP_CAP = cap\n"
+        "    print(repr(harmonic.wos_harmonic_measure(*args)))"
+    )
+    expected = ""
+    for *args, cap in runs:
+        monkeypatch.setattr(harmonic, "WOS_STEP_CAP", cap)
+        expected += f"{harmonic.wos_harmonic_measure(*args)!r}\n"
+    assert run_masked(code, stdin=repr(runs)) == expected
+
+
+def test_wos_memory_per_walk_stays_bounded():
+    # about 66 bytes per walk: the points, their distances and one step's draws; a
+    # list of absorbed walks that held a view of the first points array read 82
+    tracemalloc.start()
+    try:
+        wos_harmonic_measure(2j, 1.0, 4.0, 0.5, n_walks=200_000, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / 200_000 <= 70.0
+
+
 @pytest.mark.parametrize("eps", [math.inf, math.nan])
 def test_wos_rejects_non_finite_eps(eps):
     # inf absorbed every walk where it started; nan never absorbed one
@@ -600,3 +661,69 @@ def test_distance_bound_domain_follows_p():
     assert half.measure == hm_halfplane(w, 0.5, 1.0)
     assert omega1.delta < w.imag
     assert omega1.measure == hm_omega1(w, 0.5, 1.0, 0.5)
+
+
+# ------------------------------------------------------------- input contract
+
+#: One strategy for every argument: nan, infinities, extremes, plain values that
+#: reach the formulas, complex numbers, strings, None and lists
+ANY_ARG = st.one_of(
+    st.sampled_from([0.5, 1.0, 2.0, 4.0, 2j, 0.5 + 1j, 1e-12, 0.999, -1.0]),
+    st.floats(),
+    st.sampled_from([0.0, 5e-324, 1e-300, 1e300, 1.7976931348623157e308, -1.7976931348623157e308]),
+    st.integers(-(2**70), 2**70),
+    st.complex_numbers(),
+    st.text(max_size=3),
+    st.none(),
+    st.lists(st.floats(0.1, 2.0), max_size=2),
+)
+
+
+@pytest.mark.parametrize(
+    "func, args",
+    [
+        (hm_halfplane, [ANY_ARG] * 3),
+        (hm_omega1, [ANY_ARG] * 4),
+        (wos_harmonic_measure, [ANY_ARG] * 4 + [st.integers(1, 20), ANY_ARG, ANY_ARG]),
+        (measure_cot_bound, [ANY_ARG] * 2),
+        (check_distance_measure_bound, [ANY_ARG] * 6),
+    ],
+    ids=lambda v: getattr(v, "__name__", ""),
+)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_public_functions_return_or_raise_a_package_error(func, args, data):
+    # a complex p, a or eps, a string or None raised a bare TypeError from a comparison
+    drawn = data.draw(st.tuples(*args))
+    try:
+        func(*drawn)
+    except PoleBoundsError:
+        pass
+
+
+def test_distance_bound_beyond_the_double_is_infinite():
+    # the measure of [1e200, 2e200] from i is 1.6e-201: tan^2 underflowed to 0, and
+    # the bound raised ZeroDivisionError
+    chk = check_distance_measure_bound(1e200, 2e200, 1j, d=1e200, w0=1.5e200)
+    assert (chk.bound, chk.passed) == (math.inf, True)
+    assert 0.0 < chk.measure < 1e-200
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda v: wos_harmonic_measure(2j, 1.0, 4.0, v, n_walks=10), "p"),
+        (lambda v: wos_harmonic_measure(2j, v, 4.0, 0.5, n_walks=10), "a"),
+        (lambda v: wos_harmonic_measure(2j, 1.0, 4.0, 0.5, n_walks=10, eps=v), "eps"),
+        (lambda v: hm_omega1(2j, 1.0, 4.0, v), "p"),
+        (lambda v: hm_omega1(2j, v, 4.0, 0.5), "a"),
+        (lambda v: hm_halfplane(2j, v, 4.0), "a"),
+        (lambda v: measure_cot_bound(v, 4.0), "p"),
+    ],
+)
+@pytest.mark.parametrize("value", [0.5 + 0j, 1 + 0j, "0.5", None])
+def test_non_real_arguments_are_named(call, name, value):
+    # each raised a bare TypeError from a comparison, or ran the half-plane walk at
+    # p = 1 + 0j; float() would parse the string
+    with pytest.raises(DomainError, match=f"^{name} must be"):
+        call(value)
